@@ -36,4 +36,5 @@ from .rng import derive_key, trajectory_generator
 from .runner import (reanalyze_dimension, rerun_from_manifest, run_simulate,
                      run_sweep, run_verify)
 from .sympoly import (SymValueTable, elementary, elementary_excluding,
-                      residual_e_form2, residual_reflection_identities)
+                      elementary_rows, residual_e_form2,
+                      residual_reflection_identities)

@@ -18,7 +18,7 @@ import numpy as np
 from .engine import TrajectoryRecord
 from .models import CoefficientModel
 from .roots import Root, RootSystem, resolve_weights
-from .sympoly import elementary
+from .sympoly import elementary_rows
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,12 @@ def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
     if not below.any():
         return []
 
-    sq = wproj**2
     # tau_n markers: first crossing of e_n below eps^(2*(M - n + 1))
+    e_all = elementary_rows(wproj**2, R.M)
     tau: dict[int, float] = {}
     for n in range(1, R.M + 1):
         thresh = eps ** (2 * (R.M - n + 1))
-        en = np.array([elementary(row, n) for row in sq])
-        hits = np.flatnonzero(en < thresh)
+        hits = np.flatnonzero(e_all[:, n] < thresh)
         if hits.size:
             tau[n] = float(times[hits[0]])
 

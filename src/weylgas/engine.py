@@ -419,6 +419,11 @@ def mc_drift_estimate(x: Sequence[float], model: CoefficientModel,
     O(sqrt(h)) martingale part cancels exactly sample by sample:
     [f(x_plus) + f(x_minus) - 2 f(x)] / (2h).  Returns (mean, stderr);
     used as the independent oracle for the closed-form drift formulas.
+
+    ``func`` is batched: it maps states of shape (..., N) to values of
+    shape (...), and is called once on x and once on each of the
+    (n_samples, N) arrays of plus and minus states, e.g.
+    ``lambda y: elementary_rows((y @ R.positive_matrix.T) ** 2, n)[..., n]``.
     """
     x = np.asarray(x, dtype=float)
     pm = R.positive_matrix
@@ -431,11 +436,9 @@ def mc_drift_estimate(x: Sequence[float], model: CoefficientModel,
     scale = model.sigma(x) * np.sqrt(h)
     f0 = func(x)
     noise = rng.standard_normal((n_samples, x.size))
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        xp = x + det + scale * noise[i]
-        xm = x + det - scale * noise[i]
-        vals[i] = (func(xp) + func(xm) - 2.0 * f0) / (2.0 * h)
+    fp = func(x + det + scale * noise)
+    fm = func(x + det - scale * noise)
+    vals = (fp + fm - 2.0 * f0) / (2.0 * h)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return mean, stderr

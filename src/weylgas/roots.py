@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -81,10 +82,13 @@ class RootSystem:
         """Number of positive roots."""
         return len(self.positive_roots)
 
-    @property
+    @cached_property
     def positive_matrix(self) -> np.ndarray:
-        """Positive roots stacked as a float (M, N) matrix."""
-        return np.asarray(self.positive_roots, dtype=float)
+        """Positive roots stacked as a float (M, N) matrix, built once and
+        read-only."""
+        pm = np.asarray(self.positive_roots, dtype=float)
+        pm.setflags(write=False)
+        return pm
 
     @property
     def root_norms(self) -> np.ndarray:

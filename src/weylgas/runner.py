@@ -27,7 +27,7 @@ from .engine import (e_poly_drift, log_e_drift_components, mc_drift_estimate,
                      simulate_ensemble)
 from .models import dimension_bound_predictor, make_preset
 from .roots import build_root_system, reflect
-from .sympoly import (elementary, residual_e_form2,
+from .sympoly import (elementary_rows, residual_e_form2,
                       residual_reflection_identities)
 
 EXIT_OK = 0
@@ -424,9 +424,12 @@ def _verify_drift(rng: np.random.Generator) -> dict:
         model = make_preset(preset, **params)
         R = build_root_system(family, N)
         for n in range(1, R.M + 1):
+            def e_n(y):
+                return elementary_rows((y @ R.positive_matrix.T) ** 2, n)[..., n]
+
             drift = e_poly_drift(x, model, R, None, n)
             mc, se = mc_drift_estimate(
-                x, model, R, lambda y: elementary((R.positive_matrix @ y) ** 2, n),
+                x, model, R, e_n,
                 h=1e-6, n_samples=4000, seed=int(rng.integers(2**31)))
             ok = abs(drift - mc) <= 3.0 * max(se, 1e-12)
             checks.append({"preset": preset, "n": n, "drift": drift,
@@ -437,8 +440,7 @@ def _verify_drift(rng: np.random.Generator) -> dict:
             if comps[4] > 0:
                 failures.append(f"{preset} n={n}: A5 positive")
             mc2, se2 = mc_drift_estimate(
-                x, model, R,
-                lambda y: -np.log(elementary((R.positive_matrix @ y) ** 2, n)),
+                x, model, R, lambda y: -np.log(e_n(y)),
                 h=1e-6, n_samples=4000, seed=int(rng.integers(2**31)))
             if abs(comps.sum() - mc2) > 3.0 * max(se2, 1e-12):
                 failures.append(
@@ -469,14 +471,12 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
     p_exact = besq_hit_probability(spec, t=1.0)
     paths = 20_000
     dt = 5e-4
-    x = np.full(paths, spec.x0)
-    hit = np.zeros(paths, dtype=bool)
+    x = np.full(paths, spec.x0)  # unabsorbed paths only, in path order
     for _ in range(int(1.0 / dt)):
-        alive = ~hit
-        xi = rng.standard_normal(alive.sum())
-        x[alive] += spec.delta * dt + 2.0 * np.sqrt(np.maximum(x[alive], 0)) * np.sqrt(dt) * xi
-        hit[alive] |= x[alive] <= 0
-    p_mc = hit.mean()
+        xi = rng.standard_normal(x.size)
+        x += spec.delta * dt + 2.0 * np.sqrt(np.maximum(x, 0)) * np.sqrt(dt) * xi
+        x = x[x > 0]
+    p_mc = (paths - x.size) / paths
     se = np.sqrt(p_mc * (1 - p_mc) / paths)
     # fine-step Euler still discretizes; allow 3 sigma plus a small bias term
     if abs(p_mc - p_exact) > 3.0 * se + 0.02:

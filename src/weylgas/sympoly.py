@@ -3,12 +3,15 @@ algebraic identities relating them across reflections.
 
 All routines accept ints, Fractions, or floats and stay exact for exact
 inputs; ``elementary`` uses the stable prefix recurrence (O(M*n)) rather
-than subset enumeration.
+than subset enumeration.  ``elementary_rows`` runs the same recurrence on
+float arrays, one numpy operation per (value, degree) step over all rows.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from .roots import RootSystem, reflection_pairs, _dot
 
@@ -29,6 +32,28 @@ def elementary(values: Sequence, n: int):
         for j in range(min(n, len(e) - 1), 0, -1):
             e[j] = e[j] + v * e[j - 1]
     return e[n]
+
+
+def elementary_rows(values, n: int) -> np.ndarray:
+    """e_0..e_n of every row of a float array ``values`` of shape (..., M).
+
+    Returns shape (..., n + 1) with e_j in ``[..., j]``.  Runs the prefix
+    recurrence of ``elementary`` with the same operations in the same
+    order (values in index order, degree descending from n to 1, multiply
+    then add), so every entry is bit-identical to ``elementary(row, j)``.
+    """
+    v = np.asarray(values, dtype=float)
+    M = v.shape[-1]
+    if not 0 <= n <= M:
+        raise ValueError(f"degree n={n} out of range [0, {M}]")
+    # degree-major layout keeps each e[j] contiguous over the rows
+    e = np.zeros((n + 1,) + v.shape[:-1])
+    e[0] = 1.0
+    for i in range(M):
+        vi = v[..., i]
+        for j in range(n, 0, -1):
+            e[j] += vi * e[j - 1]
+    return np.moveaxis(e, 0, -1)
 
 
 def elementary_excluding(values: Sequence, n: int, excluded: Sequence[int] = ()):

@@ -25,7 +25,7 @@ from weylgas.models import chamber_grid, make_preset, wishart_param_map
 from weylgas.roots import build_root_system, reflect
 from weylgas.runner import rerun_from_manifest, run_simulate
 from weylgas.sympoly import (elementary, elementary_excluding,
-                             residual_e_form2,
+                             elementary_rows, residual_e_form2,
                              residual_reflection_identities)
 
 RANK5_SYSTEMS = [("A", n) for n in range(2, 7)] + \
@@ -328,7 +328,7 @@ def test_acceptance_09_drift_diagnostics(preset, params, family, N):
             closed = e_poly_drift(x, model, R, None, n)
             mc, se = mc_drift_estimate(
                 x, model, R,
-                lambda y: elementary((R.positive_matrix @ y) ** 2, n),
+                lambda y: elementary_rows((y @ R.positive_matrix.T) ** 2, n)[..., n],
                 h=1e-6, n_samples=50_000, seed=90 + 13 * si + n)
             assert abs(closed - mc) <= 3.0 * max(se, 1e-10)
 
@@ -336,7 +336,8 @@ def test_acceptance_09_drift_diagnostics(preset, params, family, N):
             assert comps[4] <= 0.0
             mc2, se2 = mc_drift_estimate(
                 x, model, R,
-                lambda y: -np.log(elementary((R.positive_matrix @ y) ** 2, n)),
+                lambda y: -np.log(
+                    elementary_rows((y @ R.positive_matrix.T) ** 2, n)[..., n]),
                 h=1e-6, n_samples=50_000, seed=900 + 13 * si + n)
             assert abs(comps.sum() - mc2) <= 3.0 * max(se2, 1e-10)
 

@@ -7,7 +7,7 @@ from weylgas.engine import (StepPolicy, advance_step, boundary_entry_push,
                             simulate_trajectory)
 from weylgas.models import make_preset
 from weylgas.roots import build_root_system, chamber_classify
-from weylgas.sympoly import elementary
+from weylgas.sympoly import elementary_rows
 
 
 @pytest.fixture
@@ -191,7 +191,7 @@ def test_drift_formulas_match_monte_carlo(preset, params, family, N, x):
         closed = e_poly_drift(x, model, R, None, n)
         mc, se = mc_drift_estimate(
             x, model, R,
-            lambda y: elementary((R.positive_matrix @ y) ** 2, n),
+            lambda y: elementary_rows((y @ R.positive_matrix.T) ** 2, n)[..., n],
             h=1e-6, n_samples=3000, seed=n)
         assert abs(closed - mc) <= 4.0 * max(se, 1e-10)
 
@@ -199,7 +199,8 @@ def test_drift_formulas_match_monte_carlo(preset, params, family, N, x):
         assert comps[4] <= 0.0  # A5 is manifestly nonpositive
         mc2, se2 = mc_drift_estimate(
             x, model, R,
-            lambda y: -np.log(elementary((R.positive_matrix @ y) ** 2, n)),
+            lambda y: -np.log(
+                elementary_rows((y @ R.positive_matrix.T) ** 2, n)[..., n]),
             h=1e-6, n_samples=3000, seed=100 + n)
         assert abs(comps.sum() - mc2) <= 4.0 * max(se2, 1e-10)
 
@@ -211,9 +212,39 @@ def test_drift_with_norm_weights_matches_monte_carlo():
     star = R.positive_matrix / R.root_norms[:, None]
     closed = e_poly_drift(x, model, R, "norm", 2)
     mc, se = mc_drift_estimate(
-        x, model, R, lambda y: elementary((star @ y) ** 2, 2),
+        x, model, R, lambda y: elementary_rows((y @ star.T) ** 2, 2)[..., 2],
         h=1e-6, n_samples=3000, seed=0)
     assert abs(closed - mc) <= 4.0 * max(se, 1e-10)
+
+
+def test_batched_mc_drift_matches_per_sample_loop():
+    """The batched oracle returns exactly what a per-sample loop gives."""
+    model = make_preset("dyson", k=0.4)
+    R = build_root_system("A", 3)
+    x = np.array([-0.9, 0.2, 1.3])
+    h, n_samples, seed = 1e-6, 500, 7
+    pm = R.positive_matrix
+
+    def func(y):
+        return elementary_rows((y @ pm.T) ** 2, 2)[..., 2]
+
+    mc, se = mc_drift_estimate(x, model, R, func, h=h, n_samples=n_samples,
+                               seed=seed)
+
+    # per-sample reference: the same Euler step, one antithetic pair a time
+    proj = pm @ x
+    kvals = model.coupling_values(x, R)
+    det = (model.drift_b(x) + (kvals / proj) @ pm) * h
+    scale = model.sigma(x) * np.sqrt(h)
+    noise = np.random.default_rng(seed).standard_normal((n_samples, x.size))
+    f0 = func(x)
+    vals = np.empty(n_samples)
+    for i in range(n_samples):
+        xp = x + det + scale * noise[i]
+        xm = x + det - scale * noise[i]
+        vals[i] = (func(xp) + func(xm) - 2.0 * f0) / (2.0 * h)
+    assert mc == float(vals.mean())
+    assert se == float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 
 def test_strong_error_shrinks_with_dt(dyson2):

@@ -194,3 +194,15 @@ def test_json_roundtrip_structure():
     assert doc["N"] == 3
     assert len(doc["positive_roots"]) == R.M
     assert [tuple(r) for r in doc["simple_roots"]] == list(R.simple_roots)
+
+
+def test_positive_matrix_cached_and_read_only():
+    R = build_root_system("B", 4)
+    pm = R.positive_matrix
+    assert R.positive_matrix is pm
+    assert pm.shape == (R.M, R.N)
+    assert pm.tolist() == [list(map(float, r)) for r in R.positive_roots]
+    assert not pm.flags.writeable
+    with pytest.raises(ValueError):
+        pm[0, 0] = 2.0
+    assert np.array_equal(R.root_norms, np.sqrt((pm ** 2).sum(axis=1)))

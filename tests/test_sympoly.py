@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylgas.roots import build_root_system
 from weylgas.sympoly import (SymValueTable, elementary, elementary_excluding,
-                             residual_e_form2,
+                             elementary_rows, residual_e_form2,
                              residual_reflection_identities)
 
 
@@ -43,6 +44,29 @@ def test_elementary_expansion_identity():
 def test_elementary_exact_fractions():
     v = [Fraction(1, 3), Fraction(2, 5)]
     assert elementary(v, 2) == Fraction(2, 15)
+
+
+@pytest.mark.parametrize("shape", [(6,), (40, 6), (7, 1), (3, 5, 4)])
+def test_elementary_rows_bit_identical_to_elementary(shape):
+    rng = np.random.default_rng(11)
+    # squared projections spanning many magnitudes, as in the tau markers
+    vals = (rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3, size=shape)) ** 2
+    M = shape[-1]
+    rows = vals.reshape(-1, M)
+    for n in range(M + 1):
+        got = elementary_rows(vals, n)
+        assert got.shape == shape[:-1] + (n + 1,)
+        flat = got.reshape(-1, n + 1)
+        for r, row in enumerate(rows):
+            for j in range(n + 1):
+                assert flat[r, j].tobytes() == np.float64(elementary(row, j)).tobytes()
+
+
+def test_elementary_rows_range_check():
+    with pytest.raises(ValueError):
+        elementary_rows(np.ones((2, 3)), 4)
+    with pytest.raises(ValueError):
+        elementary_rows(np.ones(3), -1)
 
 
 def test_excluding():
