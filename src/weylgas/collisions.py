@@ -301,6 +301,11 @@ class EnsembleCollector:
     ``dim_eps``, occupied dyadic boxes per scale for box-counting.  Feed it
     to ``simulate_ensemble`` via the ``collector`` argument and call
     ``finalize()`` afterwards.
+
+    Event state is held as (E, P) arrays over E eps values and P paths and
+    updated for all eps in one vectorized pass; ``events_order1``,
+    ``events_order2`` and ``argmin_counts`` map each eps to its row.
+    Occupancy is one (P, boxes) bitmap with a block of columns per scale.
     """
 
     def __init__(self, R: RootSystem, w, n_paths: int, horizon: float,
@@ -314,93 +319,73 @@ class EnsembleCollector:
         self.dim_eps = float(dim_eps)
         self.scales = [float(s) for s in scales]
         self.max_intervals = max_intervals_per_path
-        P = n_paths
-        self._below = {e: np.zeros(P, dtype=bool) for e in self.eps_list}
-        self._t_in = {e: np.zeros(P) for e in self.eps_list}
-        self._t_last = {e: np.zeros(P) for e in self.eps_list}
-        self._cur_min = {e: np.full(P, np.inf) for e in self.eps_list}
-        self._cur_order = {e: np.zeros(P, dtype=np.int32) for e in self.eps_list}
-        self._cur_argmin = {e: np.zeros(P, dtype=np.int32) for e in self.eps_list}
-        self._cur_second = {e: np.full(P, np.inf) for e in self.eps_list}
-        self.events_order1 = {e: np.zeros(P, dtype=np.int64) for e in self.eps_list}
-        self.events_order2 = {e: np.zeros(P, dtype=np.int64) for e in self.eps_list}
-        self.argmin_counts = {e: np.zeros((P, R.M), dtype=np.int64) for e in self.eps_list}
-        self.intervals = {e: [[] for _ in range(P)] for e in self.eps_list}
-        n_boxes = [max(1, int(np.ceil(horizon / s))) for s in self.scales]
-        self._occ = {s: np.zeros((P, nb), dtype=bool)
-                     for s, nb in zip(self.scales, n_boxes)}
+        E, P = len(self.eps_list), n_paths
+        self._eps = np.array(self.eps_list).reshape(E, 1)
+        self._below = np.zeros((E, P), dtype=bool)
+        self._t_in = np.zeros((E, P))
+        self._t_last = np.zeros((E, P))
+        self._cur_min = np.full((E, P), np.inf)
+        self._cur_order = np.zeros((E, P), dtype=np.int32)
+        self._cur_argmin = np.zeros((E, P), dtype=np.int32)
+        self._n1 = np.zeros((E, P), dtype=np.int64)
+        self._n2 = np.zeros((E, P), dtype=np.int64)
+        self._argmin = np.zeros((E, P, R.M), dtype=np.int64)
+        self._ivs = [[[] for _ in range(P)] for _ in range(E)]
+        self.events_order1 = dict(zip(self.eps_list, self._n1))
+        self.events_order2 = dict(zip(self.eps_list, self._n2))
+        self.argmin_counts = dict(zip(self.eps_list, self._argmin))
+        self.intervals = dict(zip(self.eps_list, self._ivs))
+        self._scales = np.array(self.scales)
+        self._n_boxes = np.array([max(1, int(np.ceil(horizon / s))) for s in self.scales], int)
+        self._box0 = np.cumsum(self._n_boxes) - self._n_boxes  # first column per scale
+        self._occ = np.zeros((P, int(self._n_boxes.sum())), dtype=bool)
         self._finalized = False
 
     def update(self, t_new: np.ndarray, proj_new: np.ndarray, path_idx: np.ndarray):
         """Record one accepted step for the given global path indices."""
+        g = path_idx
         wproj = proj_new / self.weights
-        if self.R.M > 1:
-            two = np.partition(wproj, 1, axis=1)[:, :2]
-            minv, secondv = two[:, 0], two[:, 1]
-        else:
-            minv = wproj[:, 0]
-            secondv = np.full(len(wproj), np.inf)
-        amin = np.argmin(wproj, axis=1)
+        minv = wproj.min(axis=1)
+        near = minv < self.dim_eps
+        if near.any():
+            tb = t_new[near][:, None]
+            cols = np.minimum((tb / self._scales).astype(np.int64), self._n_boxes - 1)
+            self._occ[g[near][:, None], cols + self._box0] = True
+        was = self._below[:, g]
+        below = minv < self._eps
+        ended = was & ~below
+        if ended.any():
+            ei, r = np.nonzero(ended)
+            self._close(ei, g[r])
+        # an event starts or gets deeper; stale values off events are never read
+        cur = self._cur_min[:, g]
+        new = ~was | (minv < cur)
+        order = (wproj < self._eps[:, :, None]).sum(axis=2)
+        self._cur_min[:, g] = np.where(new, minv, cur)
+        self._cur_order[:, g] = np.where(new, order, self._cur_order[:, g])
+        self._cur_argmin[:, g] = np.where(new, wproj.argmin(axis=1), self._cur_argmin[:, g])
+        self._t_in[:, g] = np.where(was, self._t_in[:, g], t_new)
+        self._t_last[:, g] = t_new
+        self._below[:, g] = below
 
-        for eps in self.eps_list:
-            below_now = minv < eps
-            order_now = (wproj < eps).sum(axis=1)
-            was = self._below[eps][path_idx]
-
-            started = below_now & ~was
-            if started.any():
-                g = path_idx[started]
-                self._below[eps][g] = True
-                self._t_in[eps][g] = t_new[started]
-                self._t_last[eps][g] = t_new[started]
-                self._cur_min[eps][g] = minv[started]
-                self._cur_order[eps][g] = order_now[started]
-                self._cur_argmin[eps][g] = amin[started]
-                self._cur_second[eps][g] = secondv[started]
-
-            cont = below_now & was
-            if cont.any():
-                g = path_idx[cont]
-                self._t_last[eps][g] = t_new[cont]
-                deeper = minv[cont] < self._cur_min[eps][g]
-                gd = g[deeper]
-                self._cur_min[eps][gd] = minv[cont][deeper]
-                self._cur_order[eps][gd] = order_now[cont][deeper]
-                self._cur_argmin[eps][gd] = amin[cont][deeper]
-                self._cur_second[eps][gd] = secondv[cont][deeper]
-
-            ended = ~below_now & was
-            for g in path_idx[ended]:
-                self._close_event(eps, int(g))
-
-        below_dim = minv < self.dim_eps
-        if below_dim.any():
-            g = path_idx[below_dim]
-            tb = t_new[below_dim]
-            for s in self.scales:
-                occ = self._occ[s]
-                cols = np.minimum((tb / s).astype(np.int64), occ.shape[1] - 1)
-                occ[g, cols] = True
-
-    def _close_event(self, eps: float, g: int):
-        self._below[eps][g] = False
-        order = int(self._cur_order[eps][g])
-        if order >= 2:
-            self.events_order2[eps][g] += 1
-        elif order == 1:
-            self.events_order1[eps][g] += 1
-        self.argmin_counts[eps][g, int(self._cur_argmin[eps][g])] += 1
-        ivs = self.intervals[eps][g]
-        if len(ivs) < self.max_intervals:
-            ivs.append((float(self._t_in[eps][g]), float(self._t_last[eps][g])))
+    def _close(self, ei: np.ndarray, g: np.ndarray):
+        """Count and store the open events at (eps index, path) pairs."""
+        order = self._cur_order[ei, g]
+        self._n1[ei, g] += order == 1
+        self._n2[ei, g] += order >= 2
+        self._argmin[ei, g, self._cur_argmin[ei, g]] += 1
+        for e, p, a, b in zip(ei.tolist(), g.tolist(), self._t_in[ei, g].tolist(),
+                              self._t_last[ei, g].tolist()):
+            ivs = self._ivs[e][p]
+            if len(ivs) < self.max_intervals:
+                ivs.append((a, b))
+        self._below[ei, g] = False
 
     def finalize(self):
         """Close any events still open at the end of the horizon."""
         if self._finalized:
             return
-        for eps in self.eps_list:
-            for g in np.flatnonzero(self._below[eps]):
-                self._close_event(eps, int(g))
+        self._close(*np.nonzero(self._below))
         self._finalized = True
 
     # ----- summaries -----
@@ -417,7 +402,8 @@ class EnsembleCollector:
 
     def pooled_counts(self) -> dict[float, int]:
         """Summed per-path box counts at each scale (N_total ~ delta^-d)."""
-        return {s: int(self._occ[s].sum()) for s in self.scales}
+        return {s: int(self._occ[:, a:a + n].sum())
+                for s, a, n in zip(self.scales, self._box0, self._n_boxes)}
 
     def pooled_dimension(self) -> DimensionEstimate:
         return fit_box_dimension(self.pooled_counts(), self.T, n_samples=self.P)

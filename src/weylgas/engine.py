@@ -3,14 +3,14 @@
 The drift is singular on the chamber walls, so stepping is adaptive
 (dt proportional to the smallest squared root projection) with
 reject-and-halve when a proposal leaves the chamber.  Ensembles are
-integrated in lock-step over a vectorized state array; every trajectory
-consumes noise from its own counter-based stream, so results do not depend
-on chunking or worker count.
+integrated in lock-step over compact arrays of the running paths (lanes);
+every trajectory consumes noise from its own counter-based stream, so
+results do not depend on chunking or worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,6 +83,39 @@ def _repulsive_drift(states: np.ndarray, proj: np.ndarray,
     return (kvals / proj) @ pm
 
 
+def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
+             proj: np.ndarray, dt: np.ndarray, noise: np.ndarray,
+             wall_tol: float = 0.0, project: bool = False):
+    """Euler-Maruyama proposals from interior states ``xs`` (n, N) with
+    projections ``proj``, step sizes ``dt`` (n,) and normals ``noise``.
+
+    Returns (proposals, their projections, mask of those inside).  With
+    ``project``, an outside proposal's displacement is first shrunk so its
+    smallest projection stays at a small fraction of the pre-step value.
+    """
+    pm = R.positive_matrix
+    kvals = model.coupling_values(xs, R)
+    dtc = dt[:, None]
+    disp = (
+        model.sigma(xs) * np.sqrt(dtc) * noise
+        + model.drift_b(xs) * dtc
+        + _repulsive_drift(xs, proj, kvals, pm) * dtc
+    )
+    prop = xs + disp
+    prop_proj = prop @ pm.T
+    ok = prop_proj.min(1) > wall_tol
+    if project and not ok.all():
+        bad = np.flatnonzero(~ok)
+        dproj = disp[bad] @ pm.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(dproj < 0, (0.05 * proj[bad] - proj[bad]) / dproj, np.inf)
+        lam = np.minimum(np.maximum(lam.min(1), 0.0), 1.0)
+        prop[bad] = xs[bad] + lam[:, None] * disp[bad]
+        prop_proj[bad] = prop[bad] @ pm.T
+        ok = prop_proj.min(1) > wall_tol
+    return prop, prop_proj, ok
+
+
 def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
                  dt: float, noise: Sequence[float],
                  wall_tol: float = 0.0) -> Optional[np.ndarray]:
@@ -92,26 +125,21 @@ def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
     closed chamber (the caller halves dt and retries with fresh noise).
     Raises on a vanishing projection with positive coupling, where the
     drift is singular; boundary starts must use the entry push instead.
+    The increment is summed first and then added to x, the same rounding
+    as ``simulate_ensemble``; the earlier ``((x + a) + b) + c`` order of
+    this function can differ from it by 1 ulp.
     """
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=float)[None, :]
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pm = R.positive_matrix
-    proj = pm @ x
-    kvals = model.coupling_values(x, R)
-    if np.any((proj == 0) & (kvals > 0)):
+    proj = xs @ R.positive_matrix.T
+    if np.any((proj == 0) & (model.coupling_values(xs, R) > 0)):
         raise ZeroDivisionError(
             "singular drift: vanishing projection with positive coupling"
         )
-    prop = (
-        x
-        + model.sigma(x) * np.sqrt(dt) * np.asarray(noise, dtype=float)
-        + model.drift_b(x) * dt
-        + _repulsive_drift(x, proj, kvals, pm) * dt
-    )
-    if np.min(pm @ prop) <= wall_tol:
-        return None
-    return prop
+    prop, _, ok = _propose(model, R, xs, proj, np.array([float(dt)]),
+                           np.asarray(noise, dtype=float)[None, :], wall_tol)
+    return prop[0] if ok[0] else None
 
 
 def boundary_entry_push(x: Sequence[float], model: CoefficientModel,
@@ -166,14 +194,8 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
 
     gens = [trajectory_generator(master_seed, base_index + p, *seed_extra) for p in range(P)]
     blocks = np.empty((P, _NOISE_BLOCK, N))
-    for p in range(P):
-        blocks[p] = gens[p].standard_normal((_NOISE_BLOCK, N))
-    ptr = np.zeros(P, dtype=np.int64)
 
     t = np.zeros(P)
-    active = np.ones(P, dtype=bool) if horizon > 0 else np.zeros(P, dtype=bool)
-    reject_scale = np.ones(P)
-    consec_rejects = np.zeros(P, dtype=np.int64)
     rejected_steps = np.zeros(P, dtype=np.int64)
     accepted_steps = np.zeros(P, dtype=np.int64)
     lifetime = np.zeros(P, dtype=bool)
@@ -183,75 +205,60 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     rec_states = [[states[p].copy()] for p in range(P)] if record else None
     rec_dts = [[] for _ in range(P)] if record else None
 
-    sqrt = np.sqrt
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        # refill exhausted noise blocks path by path
-        for p in idx[ptr[idx] >= _NOISE_BLOCK]:
-            blocks[p] = gens[p].standard_normal((_NOISE_BLOCK, N))
-            ptr[p] = 0
-        noise = blocks[idx, ptr[idx]]
-        ptr[idx] += 1
+    # lane l runs path g[l]; lane arrays are written back to the (P, ...)
+    # outputs only when the lane leaves
+    g = np.arange(P) if horizon > 0 else np.arange(0)
+    x = states[g]
+    tl = np.zeros(g.size)
+    scale = np.ones(g.size)  # exactly 2**-(consecutive rejects)
+    n_acc = np.zeros(g.size, dtype=np.int64)
+    stuck_scale = 0.5 ** policy.max_rejects
+    t_done = horizon * (1.0 - 1e-12)
+    it = 0  # iterations so far = proposals made by every running lane
+    while g.size:
+        # every lane proposes once per iteration, so all running lanes sit
+        # at the same row of their noise blocks and refill together
+        row = it % _NOISE_BLOCK
+        if row == 0:
+            for p in g:
+                blocks[p] = gens[p].standard_normal((_NOISE_BLOCK, N))
+        noise = blocks[g, row]
 
-        xs = states[idx]
-        proj = xs @ pm.T
-        gap2 = np.min(proj, axis=1) ** 2
-        dt = np.clip(policy.safety * gap2**policy.gap_exponent,
-                     policy.dt_min, policy.dt_max)
-        dt = dt * reject_scale[idx]
-        dt = np.minimum(dt, horizon - t[idx])
-
-        kvals = model.coupling_values(xs, R)
-        disp = (
-            model.sigma(xs) * sqrt(dt)[:, None] * noise
-            + model.drift_b(xs) * dt[:, None]
-            + _repulsive_drift(xs, proj, kvals, pm) * dt[:, None]
-        )
-        prop = xs + disp
-        prop_proj = prop @ pm.T
-        ok = prop_proj.min(axis=1) > policy.wall_tol
-
-        if policy.wall_mode == "project" and not ok.all():
-            bad = np.flatnonzero(~ok)
-            # shrink the displacement so the smallest projection stays at
-            # a small positive fraction of its pre-step value
-            dproj = disp[bad] @ pm.T
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = np.where(dproj < 0, (0.05 * proj[bad] - proj[bad]) / dproj, np.inf)
-            lam = np.clip(lam.min(axis=1), 0.0, 1.0)
-            prop[bad] = xs[bad] + lam[:, None] * disp[bad]
-            prop_proj[bad] = prop[bad] @ pm.T
-            ok = prop_proj.min(axis=1) > policy.wall_tol
-
-        acc = idx[ok]
-        rej = idx[~ok]
-        states[acc] = prop[ok]
-        t[acc] += dt[ok]
-        accepted_steps[acc] += 1
-        reject_scale[acc] = 1.0
-        consec_rejects[acc] = 0
-        reject_scale[rej] *= 0.5
-        consec_rejects[rej] += 1
-        rejected_steps[rej] += 1
+        proj = x @ pm.T
+        gap2 = proj.min(1) ** 2
+        dt = np.minimum(np.maximum(policy.safety * gap2**policy.gap_exponent,
+                                   policy.dt_min), policy.dt_max)
+        dt = np.minimum(dt * scale, horizon - tl)
+        prop, prop_proj, ok = _propose(model, R, x, proj, dt, noise,
+                                       policy.wall_tol, policy.wall_mode == "project")
+        it += 1
+        x = np.where(ok[:, None], prop, x)
+        tl = np.where(ok, tl + dt, tl)
+        scale = np.where(ok, 1.0, scale * 0.5)
+        n_acc += ok
 
         if record:
-            for i, p in enumerate(np.flatnonzero(ok)):
-                gp = acc[i]
-                rec_times[gp].append(t[gp])
-                rec_states[gp].append(prop[ok][i].copy())
-                rec_dts[gp].append(dt[ok][i])
+            for l in np.flatnonzero(ok):
+                rec_times[g[l]].append(tl[l])
+                rec_states[g[l]].append(x[l].copy())
+                rec_dts[g[l]].append(dt[l])
 
-        if collector is not None and acc.size:
-            collector.update(t[acc], prop_proj[ok], acc)
+        if collector is not None and ok.any():
+            collector.update(tl[ok], prop_proj[ok], g[ok])
 
-        # explosion proxy and stuck-step handling
-        exploded = acc[np.max(np.abs(states[acc]), axis=1) > policy.explosion_radius]
-        lifetime[exploded] = True
-        active[exploded] = False
-        dead = rej[consec_rejects[rej] > policy.max_rejects]
-        stuck[dead] = True
-        active[dead] = False
-        active[acc[t[acc] >= horizon * (1.0 - 1e-12)]] = False
+        # lanes leave on explosion, max_rejects exceeded, or the horizon
+        boom = ok & (np.abs(x).max(1) > policy.explosion_radius)
+        dead = ~ok & (scale < stuck_scale)
+        leave = boom | dead | (tl >= t_done)
+        if leave.any():
+            out = g[leave]
+            lifetime[g[boom]] = True
+            stuck[g[dead]] = True
+            states[out] = x[leave]
+            t[out] = tl[leave]
+            accepted_steps[out] = n_acc[leave]
+            rejected_steps[out] = it - n_acc[leave]
+            g, x, tl, scale, n_acc = (a[~leave] for a in (g, x, tl, scale, n_acc))
 
     records = None
     if record:

@@ -385,7 +385,7 @@ def compute_bound_constants(model: CoefficientModel, R: RootSystem,
 class DimensionBounds:
     lower: Optional[float]
     upper: float
-    constants: BoundConstants
+    constants: Optional[BoundConstants]  # None for the closed forms
     closed_form: bool
     note: str = ""
 
@@ -396,32 +396,35 @@ def dimension_bound_predictor(model: CoefficientModel, R: RootSystem,
 
     Presets with constant coupling-to-diffusion ratio use the closed forms
     (dyson: 1/2 - k; bessel_b: 1/2 - min(k1, k2); wishart: (1 - kappa)/2;
-    jacobi: upper bound 1/2 - k, no non-trivial lower bound).  Otherwise the
-    bounds are computed from grid inf/sup of the ratio; an unbounded ratio
-    without a preset shortcut is an error.
+    jacobi: upper bound 1/2 - k, no non-trivial lower bound) and build no
+    grid: ``grid`` is ignored for them and ``constants`` is None.  Otherwise
+    the bounds are computed from grid inf/sup of the ratio on ``grid``
+    (default: a 64^min(N,3)-point chamber grid), and ``constants`` holds
+    them; an unbounded ratio without a preset shortcut is an error.
     """
-    if grid is None:
-        grid = chamber_grid(R, n_points=64 ** min(R.N, 3), seed=7)
-    constants = compute_bound_constants(model, R, grid)
-
+    if model.preset in ("dyson", "bessel_b", "wishart", "jacobi"):
+        model.coupling_values(np.zeros(R.N), R)  # raises on a preset/family mismatch
     if model.preset == "dyson":
         d = max(0.0, 0.5 - model.params["k"])
-        return DimensionBounds(d, d, constants, True)
+        return DimensionBounds(d, d, None, True)
     if model.preset == "bessel_b":
         d = max(0.0, 0.5 - min(model.params["k1"], model.params["k2"]))
-        return DimensionBounds(d, d, constants, True)
+        return DimensionBounds(d, d, None, True)
     if model.preset == "wishart":
         d = max(0.0, 0.5 * (1.0 - model.params["kappa"]))
         note = "valid when particles do not hit zero: a >= 2/kappa + N - 1"
-        return DimensionBounds(d, d, constants, True, note)
+        return DimensionBounds(d, d, None, True, note)
     if model.preset == "jacobi":
         upper = max(0.0, 0.5 - model.params["k"])
         return DimensionBounds(
-            None, upper, constants, True,
+            None, upper, None, True,
             "no non-trivial lower bound: the coupling-to-diffusion ratio "
             "is unbounded near the walls",
         )
 
+    if grid is None:
+        grid = chamber_grid(R, n_points=64 ** min(R.N, 3), seed=7)
+    constants = compute_bound_constants(model, R, grid)
     if not model.bounded_ratios:
         raise ValueError(
             "unbounded coupling/diffusion ratio declared and no preset "

@@ -95,11 +95,11 @@ def _run_chunk(doc: dict, start: int, count: int, seed_extra: tuple,
         "stuck_flags": res.stuck_flags,
         "rejected_steps": res.rejected_steps,
         "accepted_steps": res.accepted_steps,
-        "order1": {e: collector.events_order1[e] for e in collector.eps_list},
-        "order2": {e: collector.events_order2[e] for e in collector.eps_list},
-        "argmin": {e: collector.argmin_counts[e] for e in collector.eps_list},
-        "intervals": {e: collector.intervals[e] for e in collector.eps_list},
-        "box_counts": {s: int(collector._occ[s].sum()) for s in collector.scales},
+        "order1": collector.events_order1,
+        "order2": collector.events_order2,
+        "argmin": collector.argmin_counts,
+        "intervals": collector.intervals,
+        "box_counts": collector.pooled_counts(),
         "records": res.records,
     }
 

@@ -208,46 +208,68 @@ def test_time_change_rejects_non_simple():
 # ---------------------------------------------------------------------------
 
 
-def test_collector_matches_batch_detection():
-    model = make_preset("dyson", k=0.15)
-    R = build_root_system("A", 2)
-    pol = StepPolicy(dt_max=1e-3)
-    x0 = np.array([-0.2, 0.2])
-    eps_list = [0.05, 0.01]
-    scales = dyadic_scales(1.0, 6)
-    col = EnsembleCollector(R, None, n_paths=20, horizon=1.0,
-                            eps_list=eps_list, dim_eps=0.05, scales=scales)
-    res = simulate_ensemble(model, R, x0, 1.0, pol, master_seed=42,
-                            n_paths=20, collector=col, record=True)
+def _sample_occupancy(records, R, dim_eps, scales, T):
+    """Pooled boxes holding an accepted sample with min projection < dim_eps."""
+    counts = {}
+    for s in scales:
+        occ = np.zeros((len(records), int(np.ceil(T / s))), dtype=bool)
+        for p, rec in enumerate(records):
+            minp = (rec.states @ R.positive_matrix.T).min(axis=1)
+            tb = rec.times[1:][minp[1:] < dim_eps]
+            cols = np.minimum((tb / s).astype(int), occ.shape[1] - 1)
+            occ[p, cols] = True
+        counts[s] = int(occ.sum())
+    return counts
+
+
+def _check_collector_against_batch(model, R, x0, T, P, eps_list, dim_eps):
+    """Stream an ensemble through a collector and compare every count with
+    batch detection on the recorded paths."""
+    scales = dyadic_scales(T, 6)
+    col = EnsembleCollector(R, None, n_paths=P, horizon=T,
+                            eps_list=eps_list, dim_eps=dim_eps, scales=scales)
+    res = simulate_ensemble(model, R, x0, T, StepPolicy(dt_max=1e-3),
+                            master_seed=42, n_paths=P, collector=col,
+                            record=True)
     col.finalize()
 
     for eps in eps_list:
-        n1 = np.zeros(20, dtype=int)
-        n2 = np.zeros(20, dtype=int)
-        pooled = {s: 0 for s in scales}
+        n1 = np.zeros(P, dtype=int)
+        n2 = np.zeros(P, dtype=int)
+        argmin = np.zeros((P, R.M), dtype=int)
         for p, rec in enumerate(res.records):
             events = detect_collision_events(rec, R, eps=eps)
             n1[p] = sum(1 for ev in events if ev.order == 1)
             n2[p] = sum(1 for ev in events if ev.order >= 2)
+            for ev in events:
+                argmin[p, R.positive_roots.index(ev.min_root)] += 1
         assert np.array_equal(col.events_order1[eps], n1)
         assert np.array_equal(col.events_order2[eps], n2)
+        assert np.array_equal(col.argmin_counts[eps], argmin)
         r1, r2 = col.event_rates(eps)
         assert r1 == pytest.approx(np.mean(n1 > 0))
         assert r2 == pytest.approx(np.mean(n2 > 0))
 
     # pooled box counts agree with per-path sample-time occupancy
-    for s in scales:
-        occ = np.zeros((20, int(np.ceil(1.0 / s))), dtype=bool)
-        for p, rec in enumerate(res.records):
-            minp = (rec.states @ R.positive_matrix.T).min(axis=1)
-            tb = rec.times[1:][minp[1:] < 0.05]
-            cols = np.minimum((tb / s).astype(int), occ.shape[1] - 1)
-            occ[p, cols] = True
-        assert col.pooled_counts()[s] == occ.sum()
+    assert col.pooled_counts() == _sample_occupancy(res.records, R, dim_eps, scales, T)
+    return col
 
+
+def test_collector_matches_batch_detection():
+    col = _check_collector_against_batch(
+        make_preset("dyson", k=0.15), build_root_system("A", 2),
+        np.array([-0.2, 0.2]), 1.0, 20, [0.05, 0.01], 0.05)
     est = col.pooled_dimension()
     assert est.n_samples == 20
     assert 0.0 <= est.value <= 1.0
+
+
+def test_collector_matches_batch_detection_three_roots():
+    """Several roots per state: the deepest root of every event counts."""
+    col = _check_collector_against_batch(
+        make_preset("dyson", k=0.25), build_root_system("A", 3),
+        np.array([-0.3, 0.0, 0.3]), 0.1, 10, [0.1, 0.03, 0.01], 0.03)
+    assert (col.argmin_counts[0.1].sum(axis=0) > 0).sum() >= 2
 
 
 def test_collector_interval_nesting_and_argmin():
@@ -279,3 +301,65 @@ def test_collector_argmin_nan_when_no_events():
     col.finalize()
     assert np.isnan(col.argmin_fraction(1e-6, 0))
     assert col.event_rates(1e-6) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("eps_list", [[], [1e-6]])
+def test_collector_occupancy_without_events(eps_list):
+    """With no eps, or dim_eps above every eps, no event is recorded but the
+    occupancy bitmap is still written."""
+    model = make_preset("dyson", k=0.6)  # k >= 1/2: no collisions
+    R = build_root_system("A", 2)
+    scales = dyadic_scales(0.5, 4)
+    col = EnsembleCollector(R, None, n_paths=6, horizon=0.5,
+                            eps_list=eps_list, dim_eps=0.05, scales=scales)
+    res = simulate_ensemble(model, R, np.array([-0.03, 0.03]), 0.5,
+                            StepPolicy(dt_max=1e-3), 4, n_paths=6,
+                            collector=col, record=True)
+    col.finalize()
+    counts = col.pooled_counts()
+    assert counts == _sample_occupancy(res.records, R, 0.05, scales, 0.5)
+    assert counts[scales[-1]] > 0
+    for eps in eps_list:
+        assert not col.events_order1[eps].any()
+        assert col.intervals[eps] == [[] for _ in range(6)]
+
+
+class _UpdateLog:
+    """Stands in for a collector and keeps every update it is fed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def update(self, t_new, proj_new, path_idx):
+        self.calls.append((t_new.copy(), proj_new.copy(), path_idx.copy()))
+
+
+def test_collector_split_feed_matches_single_feed():
+    """Feeding each batch of accepted steps in two chunks of rows gives the
+    same counts, intervals and occupancy as feeding it in one update."""
+    model = make_preset("dyson", k=0.25)
+    R = build_root_system("A", 3)
+    log = _UpdateLog()
+    simulate_ensemble(model, R, np.array([-0.1, 0.0, 0.1]), 0.05,
+                      StepPolicy(dt_max=1e-3), 5, n_paths=10, collector=log)
+
+    def collector():
+        return EnsembleCollector(R, None, n_paths=10, horizon=0.05,
+                                 eps_list=[0.05, 0.01], dim_eps=0.02,
+                                 scales=dyadic_scales(0.05, 4))
+
+    one, two = collector(), collector()
+    for t_new, proj, idx in log.calls:
+        one.update(t_new, proj, idx)
+        h = len(idx) // 2
+        two.update(t_new[:h], proj[:h], idx[:h])
+        two.update(t_new[h:], proj[h:], idx[h:])
+    one.finalize()
+    two.finalize()
+    assert sum(len(ivs) for ivs in one.intervals[0.01]) > 0
+    for eps in (0.05, 0.01):
+        assert np.array_equal(one.events_order1[eps], two.events_order1[eps])
+        assert np.array_equal(one.events_order2[eps], two.events_order2[eps])
+        assert np.array_equal(one.argmin_counts[eps], two.argmin_counts[eps])
+        assert one.intervals[eps] == two.intervals[eps]
+    assert one.pooled_counts() == two.pooled_counts()

@@ -113,6 +113,44 @@ def test_ensemble_chunking_invariance(dyson2):
                           np.vstack([lo.final_states, hi.final_states]))
 
 
+@pytest.mark.parametrize("policy,seed", [
+    (StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5), 1),
+    (StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5,
+                wall_mode="project", wall_tol=1e-3), 3),
+])
+def test_lanes_leaving_mid_run_replay_alone(policy, seed):
+    """Paths leave the lock-step loop at different iterations by all three
+    routes (horizon, stuck, exploded); every row still matches its own
+    record and equals, byte for byte, the same path integrated alone."""
+    R = build_root_system("A", 2)
+    dyson = make_preset("dyson", k=0.05)
+    proposals = []
+
+    def sigma(y):  # called once per proposal batch
+        proposals.append(len(y))
+        return dyson.sigma(y)
+
+    m = make_preset("custom", sigma=sigma, drift_b=dyson.drift_b,
+                    coupling=dyson.coupling)
+    x0 = np.array([-0.05, 0.05])
+    res = simulate_ensemble(m, R, x0, 0.1, policy, seed, n_paths=8, record=True)
+    done = ~res.stuck_flags & ~res.lifetime_flags
+    assert res.stuck_flags.any() and res.lifetime_flags.any() and done.any()
+    assert np.all(res.final_times[done] >= 0.1 * (1.0 - 1e-12))
+    fields = ("final_states", "final_times", "accepted_steps",
+              "rejected_steps", "lifetime_flags", "stuck_flags")
+    for p, rec in enumerate(res.records):
+        assert np.array_equal(res.final_states[p], rec.states[-1])
+        assert res.final_times[p] == rec.times[-1]
+        assert res.accepted_steps[p] == len(rec.step_sizes)
+        proposals.clear()
+        alone = simulate_ensemble(m, R, x0, 0.1, policy, seed, n_paths=1,
+                                  base_index=p)
+        assert sum(proposals) == alone.accepted_steps[0] + alone.rejected_steps[0]
+        for f in fields:
+            assert getattr(alone, f)[0].tobytes() == getattr(res, f)[p].tobytes(), (p, f)
+
+
 def test_boundary_start_enters_interior(dyson2):
     model, R = dyson2
     rec = simulate_trajectory(model, R, [0.0, 0.0], 0.1, StepPolicy(), seed=1)

@@ -142,6 +142,18 @@ def test_predictor_closed_forms():
     b = dimension_bound_predictor(make_preset("jacobi", k=0.4, p=8, q=8, N=3), RA)
     assert b.upper == pytest.approx(0.1)
     assert b.lower is None
+    assert b.constants is None  # closed forms build no grid
+
+
+@pytest.mark.parametrize("preset,params,family", [
+    ("bessel_b", {"k1": 0.1, "k2": 0.6}, "A"),
+    ("wishart", {"kappa": 0.5, "a": 7.0}, "B"),
+    ("jacobi", {"k": 0.4, "p": 8, "q": 8, "N": 3}, "D"),
+])
+def test_predictor_rejects_preset_on_wrong_family(preset, params, family):
+    R = build_root_system(family, 3)
+    with pytest.raises(ValueError, match="root system"):
+        dimension_bound_predictor(make_preset(preset, **params), R)
 
 
 def test_predictor_grid_path_matches_dyson():
