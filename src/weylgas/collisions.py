@@ -293,6 +293,9 @@ def time_change_theta(traj: TrajectoryRecord, model: CoefficientModel,
 # ---------------------------------------------------------------------------
 
 
+_FLUSH_ROWS = 4096  # buffered accepted rows that trigger a flush
+
+
 class EnsembleCollector:
     """Accumulates collision statistics while an ensemble integrates.
 
@@ -302,10 +305,17 @@ class EnsembleCollector:
     to ``simulate_ensemble`` via the ``collector`` argument and call
     ``finalize()`` afterwards.
 
-    Event state is held as (E, P) arrays over E eps values and P paths and
-    updated for all eps in one vectorized pass; ``events_order1``,
-    ``events_order2`` and ``argmin_counts`` map each eps to its row.
-    Occupancy is one (P, boxes) bitmap with a block of columns per scale.
+    ``update`` only buffers the accepted rows; they are processed in one
+    vectorized pass once ``_FLUSH_ROWS`` rows are held, and by
+    ``finalize()``.  Event counts, ``intervals``, ``dropped_intervals`` and
+    ``pooled_counts()`` are therefore complete only after ``finalize()``.
+
+    Events still open at a flush carry over in (E, P) arrays over E eps
+    values and P paths; ``events_order1``, ``events_order2`` and
+    ``argmin_counts`` map each eps to its row.  Occupancy is one (P, boxes)
+    bitmap with a block of columns per scale.  At most
+    ``max_intervals_per_path`` intervals are kept per path and eps; the
+    rest are counted in ``dropped_intervals``.
     """
 
     def __init__(self, R: RootSystem, w, n_paths: int, horizon: float,
@@ -339,54 +349,120 @@ class EnsembleCollector:
         self._n_boxes = np.array([max(1, int(np.ceil(horizon / s))) for s in self.scales], int)
         self._box0 = np.cumsum(self._n_boxes) - self._n_boxes  # first column per scale
         self._occ = np.zeros((P, int(self._n_boxes.sum())), dtype=bool)
+        self._dropped = [0] * E
+        self._buf = []  # (times, weighted projections, path indices) per update
+        self._n_buf = 0
         self._finalized = False
 
     def update(self, t_new: np.ndarray, proj_new: np.ndarray, path_idx: np.ndarray):
-        """Record one accepted step for the given global path indices."""
-        g = path_idx
-        wproj = proj_new / self.weights
+        """Buffer one batch of accepted steps for the given global path indices."""
+        self._buf.append((np.array(t_new, dtype=float), proj_new / self.weights,
+                          np.array(path_idx)))
+        self._n_buf += len(path_idx)
+        if self._n_buf >= _FLUSH_ROWS:
+            self._flush()
+
+    def _flush(self):
+        """Process the buffered rows in one pass: mark occupancy, then find
+        the runs of consecutive below-eps rows of every (eps, path), joining
+        a run at a path's first row to the event left open there."""
+        if not self._n_buf:
+            return
+        t, wproj, g = (np.concatenate(a) for a in zip(*self._buf))
+        self._buf, self._n_buf = [], 0
+        order = np.argsort(g, kind="stable")  # each path's rows in time order
+        t, wproj, g = t[order], wproj[order], g[order]
         minv = wproj.min(axis=1)
         near = minv < self.dim_eps
         if near.any():
-            tb = t_new[near][:, None]
+            tb = t[near][:, None]
             cols = np.minimum((tb / self._scales).astype(np.int64), self._n_boxes - 1)
             self._occ[g[near][:, None], cols + self._box0] = True
-        was = self._below[:, g]
-        below = minv < self._eps
-        ended = was & ~below
-        if ended.any():
-            ei, r = np.nonzero(ended)
-            self._close(ei, g[r])
-        # an event starts or gets deeper; stale values off events are never read
-        cur = self._cur_min[:, g]
-        new = ~was | (minv < cur)
-        order = (wproj < self._eps[:, :, None]).sum(axis=2)
-        self._cur_min[:, g] = np.where(new, minv, cur)
-        self._cur_order[:, g] = np.where(new, order, self._cur_order[:, g])
-        self._cur_argmin[:, g] = np.where(new, wproj.argmin(axis=1), self._cur_argmin[:, g])
-        self._t_in[:, g] = np.where(was, self._t_in[:, g], t_new)
-        self._t_last[:, g] = t_new
-        self._below[:, g] = below
 
-    def _close(self, ei: np.ndarray, g: np.ndarray):
-        """Count and store the open events at (eps index, path) pairs."""
-        order = self._cur_order[ei, g]
-        self._n1[ei, g] += order == 1
-        self._n2[ei, g] += order >= 2
-        self._argmin[ei, g, self._cur_argmin[ei, g]] += 1
-        for e, p, a, b in zip(ei.tolist(), g.tolist(), self._t_in[ei, g].tolist(),
-                              self._t_last[ei, g].tolist()):
+        n = g.size
+        first = np.ones(n, dtype=bool)  # a path's first row in this flush
+        np.not_equal(g[1:], g[:-1], out=first[1:])
+        last = np.roll(first, -1)  # and its last row
+        heads, tails = np.flatnonzero(first), np.flatnonzero(last)
+        gp = g[heads]
+        below = minv < self._eps  # (E, n)
+        start = below & first
+        start[:, 1:] |= below[:, 1:] & ~below[:, :-1]
+        end = below & last
+        end[:, :-1] |= below[:, :-1] & ~below[:, 1:]
+        es, rs = np.nonzero(start)
+        re = np.nonzero(end)[1]  # runs never overlap: starts and ends pair up
+
+        # open events whose path's first row here is above eps ended before it
+        ei, j = np.nonzero(self._below[:, gp] & ~below[:, heads])
+        pe = gp[j]
+        closing = [(ei, pe, *self._stored(ei, pe))]
+        if es.size:
+            p = g[rs]
+            t_in, t_out = t[rs], t[re]
+            # first minimum of each run; rows off runs read inf
+            vals = np.where(below, minv, np.inf).ravel()
+            fs = es * n + rs
+            mins = np.minimum.reduceat(vals, fs)
+            seg = np.cumsum(start.ravel()) - 1
+            hits = np.flatnonzero(vals == mins[seg])
+            keep = np.ones(hits.size, dtype=bool)
+            np.not_equal(seg[hits[1:]], seg[hits[:-1]], out=keep[1:])
+            rmin = wproj[hits[keep] - es * n]
+            depth = (rmin < self._eps[es]).sum(axis=1)
+            amin = rmin.argmin(axis=1)
+            # a run at a path's first row continues the open event there,
+            # which keeps its minimum unless the run goes strictly lower
+            cont = first[rs] & self._below[es, p]
+            t_in[cont] = self._t_in[es[cont], p[cont]]
+            old = cont & ~(mins < self._cur_min[es, p])
+            mins[old] = self._cur_min[es[old], p[old]]
+            depth[old] = self._cur_order[es[old], p[old]]
+            amin[old] = self._cur_argmin[es[old], p[old]]
+            # runs reaching a path's last row stay open into the next flush
+            op = last[re]
+            eo, po = es[op], p[op]
+            self._t_in[eo, po] = t_in[op]
+            self._t_last[eo, po] = t_out[op]
+            self._cur_min[eo, po] = mins[op]
+            self._cur_order[eo, po] = depth[op]
+            self._cur_argmin[eo, po] = amin[op]
+            cl = ~op
+            closing.append((es[cl], p[cl], t_in[cl], t_out[cl], depth[cl], amin[cl]))
+        self._below[:, gp] = below[:, tails]
+        self._close(*(np.concatenate(a) for a in zip(*closing)))
+
+    def _stored(self, ei, p):
+        """(t_in, t_last, order, argmin) of the open events at (ei, p)."""
+        return (self._t_in[ei, p], self._t_last[ei, p],
+                self._cur_order[ei, p], self._cur_argmin[ei, p])
+
+    def _close(self, ei, g, t_in, t_out, order, argmin):
+        """Count and store events given by (eps index, path) pairs, each
+        path's events of one eps in time order."""
+        np.add.at(self._n1, (ei, g), order == 1)
+        np.add.at(self._n2, (ei, g), order >= 2)
+        np.add.at(self._argmin, (ei, g, argmin), 1)
+        for e, p, a, b in zip(ei.tolist(), g.tolist(), t_in.tolist(), t_out.tolist()):
             ivs = self._ivs[e][p]
             if len(ivs) < self.max_intervals:
                 ivs.append((a, b))
-        self._below[ei, g] = False
+            else:
+                self._dropped[e] += 1
 
     def finalize(self):
-        """Close any events still open at the end of the horizon."""
+        """Flush the buffer and close any events still open at the horizon."""
         if self._finalized:
             return
-        self._close(*np.nonzero(self._below))
+        self._flush()
+        ei, p = np.nonzero(self._below)
+        self._close(ei, p, *self._stored(ei, p))
         self._finalized = True
+
+    @property
+    def dropped_intervals(self) -> dict[float, int]:
+        """Intervals per eps not stored because a path held the maximum."""
+        return dict(zip(self.eps_list, self._dropped))
 
     # ----- summaries -----
 

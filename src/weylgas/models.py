@@ -40,9 +40,16 @@ class CoefficientModel:
 
 
 def _const_coupling(values_per_root: Callable[[RootSystem], np.ndarray]):
+    last = (None, None)  # the last root system seen and its constants
+
     def coupling(x: np.ndarray, R: RootSystem) -> np.ndarray:
-        k = values_per_root(R)
-        return np.broadcast_to(k, x.shape[:-1] + (R.M,))
+        nonlocal last
+        seen = last  # one read, so a concurrent call cannot mix two pairs
+        if seen[0] is not R:
+            seen = last = (R, values_per_root(R))
+        out = np.empty(x.shape[:-1] + (R.M,))
+        out[...] = seen[1]
+        return out
 
     return coupling
 

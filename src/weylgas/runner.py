@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -99,6 +100,7 @@ def _run_chunk(doc: dict, start: int, count: int, seed_extra: tuple,
         "order2": collector.events_order2,
         "argmin": collector.argmin_counts,
         "intervals": collector.intervals,
+        "dropped": collector.dropped_intervals,
         "box_counts": collector.pooled_counts(),
         "records": res.records,
     }
@@ -137,7 +139,7 @@ def _execute(doc: dict, seed_extra: tuple = (), workers: int = 1,
         "rejected_steps": np.concatenate([c["rejected_steps"] for c in chunks]),
         "accepted_steps": np.concatenate([c["accepted_steps"] for c in chunks]),
         "order1": {}, "order2": {}, "argmin": {}, "intervals": {},
-        "box_counts": {},
+        "dropped": {}, "box_counts": {},
         "records": None,
     }
     for eps in cfg.eps_grid:
@@ -145,6 +147,7 @@ def _execute(doc: dict, seed_extra: tuple = (), workers: int = 1,
         merged["order2"][eps] = np.concatenate([c["order2"][eps] for c in chunks])
         merged["argmin"][eps] = np.concatenate([c["argmin"][eps] for c in chunks])
         merged["intervals"][eps] = sum((c["intervals"][eps] for c in chunks), [])
+        merged["dropped"][eps] = sum(c["dropped"][eps] for c in chunks)
     for s in cfg.scale_list():
         merged["box_counts"][s] = sum(c["box_counts"][s] for c in chunks)
     if record:
@@ -239,6 +242,7 @@ def run_simulate(cfg: RunConfig, out_dir=None, workers=None) -> dict:
                 "order2_counts": merged["order2"][eps],
                 "argmin_counts": merged["argmin"][eps],
                 "intervals": merged["intervals"][eps],
+                "dropped_intervals": merged["dropped"][eps],
             }
             for eps in cfg.eps_grid
         },
@@ -304,6 +308,10 @@ def reanalyze_dimension(run_dir, eps=None, scales=None) -> dict:
         raise ValueError(
             f"eps {key} was not recorded; available: {sorted(available)}")
     scales = sorted(float(s) for s in (scales or cfg.scale_list()))
+    dropped = events["per_eps"][key].get("dropped_intervals", 0)
+    if dropped:
+        warnings.warn(f"{dropped} intervals at eps {key} were dropped at the "
+                      "per-path limit; the box counts miss them", RuntimeWarning)
 
     from .collisions import box_counts
     total = {s: 0 for s in scales}

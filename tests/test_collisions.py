@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import weylgas.collisions as collisions
 from weylgas.collisions import (EnsembleCollector, box_counting_dimension,
                                 box_counts, detect_collision_events,
                                 dyadic_scales, fit_box_dimension,
@@ -222,6 +223,15 @@ def _sample_occupancy(records, R, dim_eps, scales, T):
     return counts
 
 
+def _sample_intervals(rec, R, eps):
+    """(first, last) accepted-sample times of each below-eps run."""
+    t = rec.times[1:]
+    below = (rec.states[1:] @ R.positive_matrix.T).min(axis=1) < eps
+    edges = np.diff(np.concatenate([[0], below.astype(int), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    return [(float(t[i]), float(t[j])) for i, j in zip(starts, ends)]
+
+
 def _check_collector_against_batch(model, R, x0, T, P, eps_list, dim_eps):
     """Stream an ensemble through a collector and compare every count with
     batch detection on the recorded paths."""
@@ -246,6 +256,7 @@ def _check_collector_against_batch(model, R, x0, T, P, eps_list, dim_eps):
         assert np.array_equal(col.events_order1[eps], n1)
         assert np.array_equal(col.events_order2[eps], n2)
         assert np.array_equal(col.argmin_counts[eps], argmin)
+        assert col.intervals[eps] == [_sample_intervals(rec, R, eps) for rec in res.records]
         r1, r2 = col.event_rates(eps)
         assert r1 == pytest.approx(np.mean(n1 > 0))
         assert r2 == pytest.approx(np.mean(n2 > 0))
@@ -255,10 +266,20 @@ def _check_collector_against_batch(model, R, x0, T, P, eps_list, dim_eps):
     return col
 
 
-def test_collector_matches_batch_detection():
-    col = _check_collector_against_batch(
+def _check_a2():
+    return _check_collector_against_batch(
         make_preset("dyson", k=0.15), build_root_system("A", 2),
         np.array([-0.2, 0.2]), 1.0, 20, [0.05, 0.01], 0.05)
+
+
+def _check_a3():
+    return _check_collector_against_batch(
+        make_preset("dyson", k=0.25), build_root_system("A", 3),
+        np.array([-0.3, 0.0, 0.3]), 0.1, 10, [0.1, 0.03, 0.01], 0.03)
+
+
+def test_collector_matches_batch_detection():
+    col = _check_a2()
     est = col.pooled_dimension()
     assert est.n_samples == 20
     assert 0.0 <= est.value <= 1.0
@@ -266,10 +287,17 @@ def test_collector_matches_batch_detection():
 
 def test_collector_matches_batch_detection_three_roots():
     """Several roots per state: the deepest root of every event counts."""
-    col = _check_collector_against_batch(
-        make_preset("dyson", k=0.25), build_root_system("A", 3),
-        np.array([-0.3, 0.0, 0.3]), 0.1, 10, [0.1, 0.03, 0.01], 0.03)
+    col = _check_a3()
     assert (col.argmin_counts[0.1].sum(axis=0) > 0).sum() >= 2
+
+
+@pytest.mark.parametrize("flush_rows", [1, 7])
+@pytest.mark.parametrize("check", [_check_a2, _check_a3], ids=["A2", "A3"])
+def test_collector_small_flushes_match_batch_detection(monkeypatch, check, flush_rows):
+    """Flushing every few rows opens and closes events across flush edges;
+    every count still equals batch detection."""
+    monkeypatch.setattr(collisions, "_FLUSH_ROWS", flush_rows)
+    check()
 
 
 def test_collector_interval_nesting_and_argmin():
@@ -324,6 +352,37 @@ def test_collector_occupancy_without_events(eps_list):
         assert col.intervals[eps] == [[] for _ in range(6)]
 
 
+@pytest.mark.parametrize("flush_rows", [1, 2, 3, 4096])
+def test_collector_event_minimum_across_flushes(monkeypatch, flush_rows):
+    """An event keeps its first deepest row, also when a later row of the
+    event ties it or when the rows arrive in separate flushes."""
+    monkeypatch.setattr(collisions, "_FLUSH_ROWS", flush_rows)
+    R = build_root_system("A", 3)
+    col = EnsembleCollector(R, None, n_paths=2, horizon=1.0, eps_list=[0.01, 0.005],
+                            dim_eps=0.01, scales=dyadic_scales(1.0, 3))
+    far = [0.5, 0.5, 0.5]
+    feed = [
+        (0.1, {0: far, 1: far}),
+        (0.2, {0: [0.004, 0.5, 0.5], 1: far}),    # event A: root 0, order 1
+        (0.3, {0: [0.006, 0.004, 0.5], 1: [0.5, 0.5, 0.001]}),  # a tie: A keeps root 0
+        (0.4, {0: [0.009, 0.5, 0.5]}),
+        (0.5, {0: far, 1: far}),                  # A ends
+        (0.6, {0: [0.5, 0.008, 0.5]}),            # event B: root 1, order 1
+        (0.7, {0: [0.002, 0.003, 0.5]}),          # B goes deeper: root 0, order 2
+    ]
+    col.update(np.empty(0), np.empty((0, R.M)), np.empty(0, dtype=int))
+    for t, rows in feed:
+        idx = np.array(list(rows))
+        col.update(np.full(idx.size, t), np.array(list(rows.values())), idx)
+    col.finalize()
+    assert col.intervals[0.01] == [[(0.2, 0.4), (0.6, 0.7)], [(0.3, 0.3)]]
+    assert col.intervals[0.005] == [[(0.2, 0.3), (0.7, 0.7)], [(0.3, 0.3)]]
+    for eps in (0.01, 0.005):
+        assert col.events_order1[eps].tolist() == [1, 1]
+        assert col.events_order2[eps].tolist() == [1, 0]
+        assert col.argmin_counts[eps].tolist() == [[2, 0, 0], [0, 0, 1]]
+
+
 class _UpdateLog:
     """Stands in for a collector and keeps every update it is fed."""
 
@@ -334,22 +393,38 @@ class _UpdateLog:
         self.calls.append((t_new.copy(), proj_new.copy(), path_idx.copy()))
 
 
-def test_collector_split_feed_matches_single_feed():
-    """Feeding each batch of accepted steps in two chunks of rows gives the
-    same counts, intervals and occupancy as feeding it in one update."""
+def _logged_ensemble(P=10, T=0.05):
+    """Updates an A3 ensemble feeds a collector, and a collector factory."""
     model = make_preset("dyson", k=0.25)
     R = build_root_system("A", 3)
     log = _UpdateLog()
-    simulate_ensemble(model, R, np.array([-0.1, 0.0, 0.1]), 0.05,
-                      StepPolicy(dt_max=1e-3), 5, n_paths=10, collector=log)
+    simulate_ensemble(model, R, np.array([-0.1, 0.0, 0.1]), T,
+                      StepPolicy(dt_max=1e-3), 5, n_paths=P, collector=log)
 
-    def collector():
-        return EnsembleCollector(R, None, n_paths=10, horizon=0.05,
+    def collector(**kw):
+        return EnsembleCollector(R, None, n_paths=P, horizon=T,
                                  eps_list=[0.05, 0.01], dim_eps=0.02,
-                                 scales=dyadic_scales(0.05, 4))
+                                 scales=dyadic_scales(T, 4), **kw)
 
+    return log.calls, collector
+
+
+def _same_results(a, b):
+    for eps in a.eps_list:
+        assert np.array_equal(a.events_order1[eps], b.events_order1[eps])
+        assert np.array_equal(a.events_order2[eps], b.events_order2[eps])
+        assert np.array_equal(a.argmin_counts[eps], b.argmin_counts[eps])
+        assert a.intervals[eps] == b.intervals[eps]
+    assert a.dropped_intervals == b.dropped_intervals
+    assert a.pooled_counts() == b.pooled_counts()
+
+
+def test_collector_split_feed_matches_single_feed():
+    """Feeding each batch of accepted steps in two chunks of rows gives the
+    same counts, intervals and occupancy as feeding it in one update."""
+    calls, collector = _logged_ensemble()
     one, two = collector(), collector()
-    for t_new, proj, idx in log.calls:
+    for t_new, proj, idx in calls:
         one.update(t_new, proj, idx)
         h = len(idx) // 2
         two.update(t_new[:h], proj[:h], idx[:h])
@@ -357,9 +432,62 @@ def test_collector_split_feed_matches_single_feed():
     one.finalize()
     two.finalize()
     assert sum(len(ivs) for ivs in one.intervals[0.01]) > 0
-    for eps in (0.05, 0.01):
-        assert np.array_equal(one.events_order1[eps], two.events_order1[eps])
-        assert np.array_equal(one.events_order2[eps], two.events_order2[eps])
-        assert np.array_equal(one.argmin_counts[eps], two.argmin_counts[eps])
-        assert one.intervals[eps] == two.intervals[eps]
-    assert one.pooled_counts() == two.pooled_counts()
+    _same_results(one, two)
+
+
+def test_collector_keeps_no_reference_to_caller_arrays():
+    """Overwriting the arrays passed to update, before they are flushed,
+    changes no result."""
+    calls, collector = _logged_ensemble()
+    kept, reused = collector(), collector()
+    for t_new, proj, idx in calls:
+        kept.update(t_new, proj, idx)
+        t_buf, proj_buf, idx_buf = t_new.copy(), proj.copy(), idx.copy()
+        reused.update(t_buf, proj_buf, idx_buf)
+        t_buf[:] = 0.0
+        proj_buf[:] = 1e-9
+        idx_buf[:] = 0
+    kept.finalize()
+    reused.finalize()
+    assert sum(len(ivs) for ivs in kept.intervals[0.01]) > 0
+    _same_results(kept, reused)
+
+
+def test_collector_buffer_stays_bounded(monkeypatch):
+    """The buffer never holds more than _FLUSH_ROWS rows plus one batch."""
+    monkeypatch.setattr(collisions, "_FLUSH_ROWS", 7)
+    calls, collector = _logged_ensemble()
+    col = collector()
+    held = []
+    flush = col._flush
+
+    def counting_flush():
+        held.append(col._n_buf)
+        flush()
+
+    col._flush = counting_flush
+    for t_new, proj, idx in calls:
+        col.update(t_new, proj, idx)
+        assert col._n_buf < 7
+    largest = max(len(idx) for _, _, idx in calls)
+    assert len(held) > 1 and max(held) <= 7 + largest
+
+
+def test_collector_counts_dropped_intervals():
+    """With one interval kept per path, the rest are counted as dropped;
+    event counts still include every event."""
+    calls, collector = _logged_ensemble()
+    full, capped = collector(), collector(max_intervals_per_path=1)
+    for args in calls:
+        full.update(*args)
+        capped.update(*args)
+    full.finalize()
+    capped.finalize()
+    assert full.dropped_intervals == {0.05: 0, 0.01: 0}
+    for eps in full.eps_list:
+        stored = sum(len(ivs) for ivs in full.intervals[eps])
+        assert capped.intervals[eps] == [ivs[:1] for ivs in full.intervals[eps]]
+        assert capped.dropped_intervals[eps] == stored - sum(
+            len(ivs) for ivs in capped.intervals[eps])
+        assert np.array_equal(capped.events_order1[eps], full.events_order1[eps])
+    assert capped.dropped_intervals[0.05] > 0

@@ -32,6 +32,36 @@ def test_bessel_b_per_root_values():
         m.coupling_values(np.ones(3), build_root_system("A", 3))
 
 
+@pytest.mark.parametrize("name, params, family, short, long", [
+    ("dyson", {"k": 0.3}, "A", None, 0.3),
+    ("bessel_general", {"k_values": 0.7}, "A", None, 0.7),
+    ("bessel_b", {"k1": 0.8, "k2": 0.3}, "B", 0.8, 0.3),
+])
+def test_constant_coupling_values_across_root_systems(name, params, family, short, long):
+    """Constant couplings come back as fresh (..., M) arrays with the right
+    values while calls alternate between root systems."""
+    m = make_preset(name, **params)
+    systems = [build_root_system(family, 2), build_root_system(family, 3)]
+    for R in systems + systems:
+        lengths = (R.positive_matrix != 0).sum(axis=1)  # 1 for short roots
+        want = np.where(lengths == 1, short, long).astype(float)
+        for x in (np.ones(R.N), np.ones((4, 2, R.N))):
+            k = m.coupling_values(x, R)
+            assert k.shape == x.shape[:-1] + (R.M,)
+            assert np.array_equal(k, np.broadcast_to(want, k.shape))
+            k[...] = -1.0  # the caller owns the array
+        assert np.array_equal(m.coupling_values(np.ones(R.N), R), want)
+
+
+def test_bessel_b_coupling_raises_on_every_wrong_family_call():
+    m = make_preset("bessel_b", k1=0.8, k2=0.3)
+    B3, A3 = build_root_system("B", 3), build_root_system("A", 3)
+    for _ in range(2):
+        assert m.coupling_values(np.ones(3), B3).shape == (B3.M,)
+        with pytest.raises(ValueError):
+            m.coupling_values(np.ones(3), A3)
+
+
 def test_wishart_coupling_is_sum_of_pairs():
     m = make_preset("wishart", kappa=1.0, a=4.0)
     R = build_root_system("A", 3)

@@ -1,10 +1,14 @@
+import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import weylgas.runner as runner
 from weylgas.cli import main
+from weylgas.collisions import EnsembleCollector
 from weylgas.config import parse_config
 from weylgas.runner import (config_digest, reanalyze_dimension,
                             rerun_from_manifest, run_simulate, run_sweep,
@@ -52,6 +56,7 @@ def test_events_json_structure(small_run):
     per = ev["per_eps"]["0.1"]
     assert len(per["order1_counts"]) == 12
     assert len(per["intervals"]) == 12
+    assert per["dropped_intervals"] == 0
     # intervals lie inside the horizon
     for path_ivs in per["intervals"]:
         for a, b in path_ivs:
@@ -82,6 +87,30 @@ def test_reanalyze_dimension(small_run):
     assert set(res["pooled_counts"]) == {"0.25", "0.125", "0.0625"}
     with pytest.raises(ValueError, match="not recorded"):
         reanalyze_dimension(out, eps=0.5)
+
+
+def test_dropped_intervals_reported(small_run, tmp_path, monkeypatch):
+    """Intervals beyond the per-path limit are counted in events.json, left
+    out of summary.json, and make reanalyze_dimension warn."""
+    out1, _ = small_run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reanalyze_dimension(out1, eps=0.1)
+    monkeypatch.setattr(runner, "EnsembleCollector",
+                        functools.partial(EnsembleCollector, max_intervals_per_path=1))
+    out = tmp_path / "capped"
+    run_simulate(parse_config(dict(SMALL_DOC)), out_dir=out)
+    full = json.loads((out1 / "events.json").read_text())["per_eps"]
+    capped = json.loads((out / "events.json").read_text())["per_eps"]
+    for key in ("0.1", "0.01"):
+        stored = sum(len(ivs) for ivs in full[key]["intervals"])
+        kept = sum(len(ivs) for ivs in capped[key]["intervals"])
+        assert all(len(ivs) <= 1 for ivs in capped[key]["intervals"])
+        assert capped[key]["dropped_intervals"] == stored - kept
+    assert capped["0.1"]["dropped_intervals"] > 0
+    assert (out / "summary.json").read_bytes() == (out1 / "summary.json").read_bytes()
+    with pytest.warns(RuntimeWarning, match="dropped"):
+        reanalyze_dimension(out, eps=0.1)
 
 
 def test_record_trajectories(tmp_path):
