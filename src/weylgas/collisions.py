@@ -350,13 +350,13 @@ class EnsembleCollector:
         self._box0 = np.cumsum(self._n_boxes) - self._n_boxes  # first column per scale
         self._occ = np.zeros((P, int(self._n_boxes.sum())), dtype=bool)
         self._dropped = [0] * E
-        self._buf = []  # (times, weighted projections, path indices) per update
+        self._buf = []  # (times, projections, path indices) per update
         self._n_buf = 0
         self._finalized = False
 
     def update(self, t_new: np.ndarray, proj_new: np.ndarray, path_idx: np.ndarray):
         """Buffer one batch of accepted steps for the given global path indices."""
-        self._buf.append((np.array(t_new, dtype=float), proj_new / self.weights,
+        self._buf.append((np.array(t_new, dtype=float), np.array(proj_new, dtype=float),
                           np.array(path_idx)))
         self._n_buf += len(path_idx)
         if self._n_buf >= _FLUSH_ROWS:
@@ -372,6 +372,7 @@ class EnsembleCollector:
         self._buf, self._n_buf = [], 0
         order = np.argsort(g, kind="stable")  # each path's rows in time order
         t, wproj, g = t[order], wproj[order], g[order]
+        wproj /= self.weights  # once per flush, not per update
         minv = wproj.min(axis=1)
         near = minv < self.dim_eps
         if near.any():

@@ -3,9 +3,10 @@
 The drift is singular on the chamber walls, so stepping is adaptive
 (dt proportional to the smallest squared root projection) with
 reject-and-halve when a proposal leaves the chamber.  Ensembles are
-integrated in lock-step over compact arrays of the running paths (lanes);
-every trajectory consumes noise from its own counter-based stream, so
-results do not depend on chunking or worker count.
+integrated in lock-step over compact arrays of the running paths (lanes),
+which carry each state's root projections and their minimum from the
+accepted proposal.  Every trajectory draws noise from its own
+counter-based stream, so results do not depend on chunking or workers.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
     """Euler-Maruyama proposals from interior states ``xs`` (n, N) with
     projections ``proj``, step sizes ``dt`` (n,) and normals ``noise``.
 
-    Returns (proposals, their projections, mask of those inside).  With
-    ``project``, an outside proposal's displacement is first shrunk so its
-    smallest projection stays at a small fraction of the pre-step value.
+    Returns (proposals, their projections, each row's smallest projection,
+    mask of those inside).  With ``project``, an outside proposal's
+    displacement is first shrunk so its smallest projection stays at a
+    small fraction of the pre-step value.
     """
     pm = R.positive_matrix
     kvals = model.coupling_values(xs, R)
@@ -103,7 +105,8 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
     )
     prop = xs + disp
     prop_proj = prop @ pm.T
-    ok = prop_proj.min(1) > wall_tol
+    prop_min = prop_proj.min(1)
+    ok = prop_min > wall_tol
     if project and not ok.all():
         bad = np.flatnonzero(~ok)
         dproj = disp[bad] @ pm.T
@@ -112,8 +115,9 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
         lam = np.minimum(np.maximum(lam.min(1), 0.0), 1.0)
         prop[bad] = xs[bad] + lam[:, None] * disp[bad]
         prop_proj[bad] = prop[bad] @ pm.T
-        ok = prop_proj.min(1) > wall_tol
-    return prop, prop_proj, ok
+        prop_min = prop_proj.min(1)
+        ok = prop_min > wall_tol
+    return prop, prop_proj, prop_min, ok
 
 
 def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
@@ -137,8 +141,8 @@ def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
         raise ZeroDivisionError(
             "singular drift: vanishing projection with positive coupling"
         )
-    prop, _, ok = _propose(model, R, xs, proj, np.array([float(dt)]),
-                           np.asarray(noise, dtype=float)[None, :], wall_tol)
+    prop, _, _, ok = _propose(model, R, xs, proj, np.array([float(dt)]),
+                              np.asarray(noise, dtype=float)[None, :], wall_tol)
     return prop[0] if ok[0] else None
 
 
@@ -205,13 +209,15 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     rec_states = [[states[p].copy()] for p in range(P)] if record else None
     rec_dts = [[] for _ in range(P)] if record else None
 
-    # lane l runs path g[l]; lane arrays are written back to the (P, ...)
-    # outputs only when the lane leaves
+    # lane l runs path g[l] at x[l] and carries its projections proj[l] and
+    # their minimum pmin[l]; lane arrays are written back when it leaves
     g = np.arange(P) if horizon > 0 else np.arange(0)
     x = states[g]
+    proj = x @ pm.T
+    pmin = proj.min(1)
     tl = np.zeros(g.size)
     scale = np.ones(g.size)  # exactly 2**-(consecutive rejects)
-    n_acc = np.zeros(g.size, dtype=np.int64)
+    n_rej = np.zeros(g.size, dtype=np.int64)  # accepted = it - rejected
     stuck_scale = 0.5 ** policy.max_rejects
     t_done = horizon * (1.0 - 1e-12)
     it = 0  # iterations so far = proposals made by every running lane
@@ -224,18 +230,26 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
                 blocks[p] = gens[p].standard_normal((_NOISE_BLOCK, N))
         noise = blocks[g, row]
 
-        proj = x @ pm.T
-        gap2 = proj.min(1) ** 2
-        dt = np.minimum(np.maximum(policy.safety * gap2**policy.gap_exponent,
-                                   policy.dt_min), policy.dt_max)
-        dt = np.minimum(dt * scale, horizon - tl)
-        prop, prop_proj, ok = _propose(model, R, x, proj, dt, noise,
-                                       policy.wall_tol, policy.wall_mode == "project")
+        dt = policy.safety * (pmin**2)**policy.gap_exponent
+        np.minimum(np.maximum(dt, policy.dt_min, out=dt), policy.dt_max, out=dt)
+        dt *= scale
+        np.minimum(dt, horizon - tl, out=dt)
+        prop, prop_proj, prop_min, ok = _propose(
+            model, R, x, proj, dt, noise, policy.wall_tol, policy.wall_mode == "project")
         it += 1
-        x = np.where(ok[:, None], prop, x)
-        tl = np.where(ok, tl + dt, tl)
-        scale = np.where(ok, 1.0, scale * 0.5)
-        n_acc += ok
+        all_ok = ok.all()
+        if all_ok:  # take the proposals whole: no masks
+            acc = slice(None)
+            x, proj, pmin, tl = prop, prop_proj, prop_min, tl + dt
+            scale.fill(1.0)
+        else:
+            acc = ok
+            x = np.where(ok[:, None], prop, x)
+            proj = np.where(ok[:, None], prop_proj, proj)
+            pmin = np.where(ok, prop_min, pmin)
+            tl = np.where(ok, tl + dt, tl)
+            scale = np.where(ok, 1.0, scale * 0.5)
+            n_rej += ~ok
 
         if record:
             for l in np.flatnonzero(ok):
@@ -243,22 +257,24 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
                 rec_states[g[l]].append(x[l].copy())
                 rec_dts[g[l]].append(dt[l])
 
-        if collector is not None and ok.any():
-            collector.update(tl[ok], prop_proj[ok], g[ok])
+        if collector is not None and (all_ok or ok.any()):
+            collector.update(tl[acc], prop_proj[acc], g[acc])
 
-        # lanes leave on explosion, max_rejects exceeded, or the horizon
-        boom = ok & (np.abs(x).max(1) > policy.explosion_radius)
-        dead = ~ok & (scale < stuck_scale)
-        leave = boom | dead | (tl >= t_done)
-        if leave.any():
+        # lanes leave on explosion, max_rejects or the horizon: scalar tests first
+        if (tl.max() >= t_done or np.abs(x).max() > policy.explosion_radius
+                or not all_ok and scale.min() < stuck_scale):
+            boom = ok & (np.abs(x).max(1) > policy.explosion_radius)
+            dead = ~ok & (scale < stuck_scale)
+            leave = boom | dead | (tl >= t_done)
             out = g[leave]
             lifetime[g[boom]] = True
             stuck[g[dead]] = True
             states[out] = x[leave]
             t[out] = tl[leave]
-            accepted_steps[out] = n_acc[leave]
-            rejected_steps[out] = it - n_acc[leave]
-            g, x, tl, scale, n_acc = (a[~leave] for a in (g, x, tl, scale, n_acc))
+            accepted_steps[out] = it - n_rej[leave]
+            rejected_steps[out] = n_rej[leave]
+            g, x, proj, pmin, tl, scale, n_rej = (
+                a[~leave] for a in (g, x, proj, pmin, tl, scale, n_rej))
 
     records = None
     if record:

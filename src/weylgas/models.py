@@ -39,6 +39,14 @@ class CoefficientModel:
         return self.coupling(np.asarray(x, dtype=float), R)
 
 
+def _ones(y) -> np.ndarray:  # unit diffusion, float, of the shape of y
+    return np.ones(np.shape(y))
+
+
+def _zeros(y) -> np.ndarray:  # zero background drift, float, of the shape of y
+    return np.zeros(np.shape(y))
+
+
 def _const_coupling(values_per_root: Callable[[RootSystem], np.ndarray]):
     last = (None, None)  # the last root system seen and its constants
 
@@ -82,8 +90,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
         if k <= 0:
             raise ValueError("dyson preset requires k > 0")
         return CoefficientModel(
-            sigma=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-            drift_b=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+            sigma=_ones, drift_b=_zeros,
             coupling=_const_coupling(lambda R: np.full(R.M, k)),
             preset="dyson", params={"k": k},
             monotone_drift=True, monotone_coupling=True,
@@ -99,8 +106,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
             return arr
 
         return CoefficientModel(
-            sigma=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-            drift_b=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+            sigma=_ones, drift_b=_zeros,
             coupling=_const_coupling(per_root),
             preset="bessel_general", params={"k_values": list(np.atleast_1d(k_values))},
             monotone_drift=True, monotone_coupling=False,
@@ -118,8 +124,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
             return np.where(lengths == 1, k1, k2)
 
         return CoefficientModel(
-            sigma=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-            drift_b=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+            sigma=_ones, drift_b=_zeros,
             coupling=_const_coupling(per_root),
             preset="bessel_b", params={"k1": k1, "k2": k2},
             # the ratio inequality couples the short and long walls; it

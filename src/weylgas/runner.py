@@ -45,11 +45,11 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
-        return int(obj)
+        return int(obj)  # Python bools are written as 1/0
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # one tolist() call; bools as 1/0
+        return (obj.astype(np.int64) if obj.dtype == bool else obj).tolist()
     return obj
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from weylgas.engine import (StepPolicy, advance_step, boundary_entry_push,
-                            e_poly_drift, log_e_drift_components,
-                            mc_drift_estimate, simulate_ensemble,
-                            simulate_trajectory)
+from weylgas.collisions import EnsembleCollector, dyadic_scales
+from weylgas.engine import (StepPolicy, _propose, advance_step,
+                            boundary_entry_push, e_poly_drift,
+                            log_e_drift_components, mc_drift_estimate,
+                            simulate_ensemble, simulate_trajectory)
 from weylgas.models import make_preset
+from weylgas.rng import trajectory_generator
 from weylgas.roots import build_root_system, chamber_classify
 from weylgas.sympoly import elementary_rows
 
@@ -149,6 +151,113 @@ def test_lanes_leaving_mid_run_replay_alone(policy, seed):
         assert sum(proposals) == alone.accepted_steps[0] + alone.rejected_steps[0]
         for f in fields:
             assert getattr(alone, f)[0].tobytes() == getattr(res, f)[p].tobytes(), (p, f)
+
+
+def _reference_ensemble(model, R, x0, horizon, policy, seed, P, collector=None):
+    """The lock-step loop with per-lane masks in every iteration: projections
+    recomputed from the states, masked updates, every exit mask built, and
+    noise drawn one row per lane (interior starts only)."""
+    pm = R.positive_matrix
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (P, R.N)).copy()
+    gens = [trajectory_generator(seed, p) for p in range(P)]
+    t, scale = np.zeros(P), np.ones(P)
+    n_acc, n_rej = np.zeros(P, dtype=np.int64), np.zeros(P, dtype=np.int64)
+    boom, dead = np.zeros(P, dtype=bool), np.zeros(P, dtype=bool)
+    recs = [([0.0], [x[p].copy()], []) for p in range(P)]
+    g = np.arange(P)
+    while g.size:
+        noise = np.array([gens[p].standard_normal(R.N) for p in g])
+        proj = x[g] @ pm.T
+        gap2 = proj.min(1) ** 2
+        dt = np.minimum(np.maximum(policy.safety * gap2**policy.gap_exponent,
+                                   policy.dt_min), policy.dt_max)
+        dt = np.minimum(dt * scale[g], horizon - t[g])
+        prop, prop_proj, _, ok = _propose(model, R, x[g], proj, dt, noise,
+                                          policy.wall_tol, policy.wall_mode == "project")
+        acc, rej = g[ok], g[~ok]
+        x[acc], t[acc], scale[acc] = prop[ok], t[acc] + dt[ok], 1.0
+        scale[rej] *= 0.5
+        n_acc[acc] += 1
+        n_rej[rej] += 1
+        for l in np.flatnonzero(ok):
+            for lst, v in zip(recs[g[l]], (t[g[l]], x[g[l]].copy(), dt[l])):
+                lst.append(v)
+        if collector is not None and ok.any():
+            collector.update(t[acc], prop_proj[ok], acc)
+        boom[acc] = np.abs(x[acc]).max(1) > policy.explosion_radius
+        dead[rej] = scale[rej] < 0.5**policy.max_rejects
+        g = g[~(boom[g] | dead[g] | (t[g] >= horizon * (1.0 - 1e-12)))]
+    return (x, t, boom, dead, n_rej, n_acc), recs
+
+
+def _a3_collector(P, T):
+    return EnsembleCollector(build_root_system("A", 3), None, n_paths=P, horizon=T,
+                             eps_list=[0.05, 0.01], dim_eps=0.02,
+                             scales=dyadic_scales(T, 4))
+
+
+@pytest.mark.parametrize("preset,params,family,N,x0,T,policy,seed,P", [
+    ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.05, StepPolicy(dt_max=1e-3), 5, 10),
+    ("bessel_b", {"k1": 0.5, "k2": 0.6}, "B", 2, [0.05, 0.15], 0.05,
+     StepPolicy(dt_max=1e-3, wall_mode="project", wall_tol=1e-4), 11, 8),
+    ("dyson", {"k": 0.05}, "A", 2, [-0.05, 0.05], 0.1,
+     StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5), 1, 8),
+    ("dyson", {"k": 0.05}, "A", 2, [-0.05, 0.05], 0.1,
+     StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5,
+                wall_mode="project", wall_tol=1e-3), 3, 8),
+], ids=["A3-reject-collector", "B2-project", "three-exits-reject", "three-exits-project"])
+def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
+                                               policy, seed, P):
+    """The engine's loop (carried projections, all-accept fast update, scalar
+    exit tests) gives, byte for byte, the outputs, records and collector
+    results of the per-lane masked reference loop."""
+    model, R = make_preset(preset, **params), build_root_system(family, N)
+    cols = (_a3_collector(P, T), _a3_collector(P, T)) if family == "A" and N == 3 else (None, None)
+    res = simulate_ensemble(model, R, np.array(x0), T, policy, seed, P,
+                            collector=cols[0], record=True)
+    ref, recs = _reference_ensemble(model, R, x0, T, policy, seed, P, collector=cols[1])
+    fields = ("final_states", "final_times", "lifetime_flags", "stuck_flags",
+              "rejected_steps", "accepted_steps")
+    for f, want in zip(fields, ref):
+        assert getattr(res, f).tobytes() == want.tobytes(), f
+    for rec, (times, states, dts) in zip(res.records, recs):
+        assert rec.times.tobytes() == np.asarray(times).tobytes()
+        assert rec.states.tobytes() == np.asarray(states).tobytes()
+        assert rec.step_sizes.tobytes() == np.asarray(dts).tobytes()
+    if cols[0] is not None:
+        assert res.rejected_steps.sum() > 0
+        for c in cols:
+            c.finalize()
+        for eps in cols[0].eps_list:
+            assert np.array_equal(cols[0].events_order1[eps], cols[1].events_order1[eps])
+            assert np.array_equal(cols[0].events_order2[eps], cols[1].events_order2[eps])
+            assert np.array_equal(cols[0].argmin_counts[eps], cols[1].argmin_counts[eps])
+            assert cols[0].intervals[eps] == cols[1].intervals[eps]
+        assert cols[0].pooled_counts() == cols[1].pooled_counts()
+        assert sum(map(len, cols[0].intervals[0.05])) > 0
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_propose_returns_row_minimum_of_projections(project):
+    """The returned minimum is each proposal's smallest projection, also on
+    rows that ``project`` shrank back inside the chamber."""
+    R = build_root_system("B", 2)
+    model = make_preset("bessel_b", k1=0.1, k2=0.6)
+    rng = np.random.default_rng(4)
+    xs = np.abs(rng.normal(size=(64, 2))).cumsum(axis=1) * 0.05 + 1e-3
+    proj = xs @ R.positive_matrix.T
+    assert np.all(proj.min(1) > 0)
+    dt = np.full(64, 1e-3)
+    noise = rng.normal(size=(64, 2))
+    prop, prop_proj, prop_min, ok = _propose(model, R, xs, proj, dt, noise, 0.0, project)
+    assert prop_min.tobytes() == prop_proj.min(1).tobytes()
+    assert np.array_equal(ok, prop_min > 0.0)
+    plain, _, _, plain_ok = _propose(model, R, xs, proj, dt, noise)
+    assert not plain_ok.all()  # some proposals leave the chamber
+    if project:
+        shrunk = np.flatnonzero(~plain_ok)
+        assert not np.array_equal(prop[shrunk], plain[shrunk])
+        assert ok[shrunk].all()
 
 
 def test_boundary_start_enters_interior(dyson2):

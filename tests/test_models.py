@@ -21,6 +21,22 @@ def test_dyson_preset():
         make_preset("nope", k=1.0)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("dyson", {"k": 0.3}),
+    ("bessel_general", {"k_values": 0.7}),
+    ("bessel_b", {"k1": 0.8, "k2": 0.3}),
+])
+def test_constant_sigma_and_drift_keep_shape_and_dtype(name, params):
+    """Unit diffusion and zero drift match ones_like/zeros_like of the float
+    input for scalar, (N,), (n, N) and integer-list inputs."""
+    m = make_preset(name, **params)
+    for y in (0.4, np.array([-1.0, 0.0, 1.0]), np.ones((5, 3)), [[1, 2], [3, 4]]):
+        ref = np.asarray(y, dtype=float)
+        for got, want in ((m.sigma(y), np.ones_like(ref)), (m.drift_b(y), np.zeros_like(ref))):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == ref.shape and np.array_equal(got, want)
+
+
 def test_bessel_b_per_root_values():
     m = make_preset("bessel_b", k1=0.8, k2=0.3)
     R = build_root_system("B", 3)

@@ -144,6 +144,29 @@ def test_write_json_canonical(tmp_path):
     assert json.loads(text) == {"a": [0, 1, 2], "b": 1.5, "c": True}
 
 
+def test_write_json_pinned_text(tmp_path):
+    """Exact bytes for numpy scalars, int/float/bool arrays, Python bools
+    (written as 1/0, like bool arrays) and tuples of floats."""
+    p = tmp_path / "doc.json"
+    write_json(p, {
+        "scalars": [np.float64(0.1), np.float32(0.5), np.int64(-7), np.bool_(True)],
+        "ints": np.array([[1, 2], [3, 4]], dtype=np.int64),
+        "floats": np.array([1.5, 1e-300]),
+        "singles": np.array([0.1], dtype=np.float32),
+        "flags": np.array([True, False]),
+        "closed_form": True,
+        3: {"interval": (0.25, 2.0)},
+    })
+    assert p.read_text() == (
+        '{\n "3": {\n  "interval": [\n   0.25,\n   2.0\n  ]\n },\n'
+        ' "closed_form": 1,\n "flags": [\n  1,\n  0\n ],\n'
+        ' "floats": [\n  1.5,\n  1e-300\n ],\n'
+        ' "ints": [\n  [\n   1,\n   2\n  ],\n  [\n   3,\n   4\n  ]\n ],\n'
+        ' "scalars": [\n  0.1,\n  0.5,\n  -7,\n  true\n ],\n'
+        ' "singles": [\n  0.10000000149011612\n ]\n}\n'
+    )
+
+
 def test_run_verify_sections():
     report = run_verify("algebra")
     assert report["passed"]
