@@ -5,8 +5,9 @@ The drift is singular on the chamber walls, so stepping is adaptive
 reject-and-halve when a proposal leaves the chamber.  Ensembles are
 integrated in lock-step over compact arrays of the running paths (lanes),
 which carry each state's root projections and their minimum from the
-accepted proposal.  Every trajectory draws noise from its own
-counter-based stream, so results do not depend on chunking or workers.
+accepted proposal; coefficients that are constant are evaluated once per
+run.  Every trajectory draws noise from its own counter-based stream, so
+results do not depend on chunking or workers.
 """
 
 from __future__ import annotations
@@ -86,23 +87,26 @@ def _repulsive_drift(states: np.ndarray, proj: np.ndarray,
 
 def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
              proj: np.ndarray, dt: np.ndarray, noise: np.ndarray,
-             wall_tol: float = 0.0, project: bool = False):
+             wall_tol: float = 0.0, project: bool = False, unit_k=None):
     """Euler-Maruyama proposals from interior states ``xs`` (n, N) with
     projections ``proj``, step sizes ``dt`` (n,) and normals ``noise``.
 
     Returns (proposals, their projections, each row's smallest projection,
     mask of those inside).  With ``project``, an outside proposal's
     displacement is first shrunk so its smallest projection stays at a
-    small fraction of the pre-step value.
+    small fraction of the pre-step value.  Given ``unit_k``, the model's
+    ``unit_constants(R)``, sigma = 1 and b = 0 are not evaluated: same bits.
     """
     pm = R.positive_matrix
-    kvals = model.coupling_values(xs, R)
     dtc = dt[:, None]
-    disp = (
-        model.sigma(xs) * np.sqrt(dtc) * noise
-        + model.drift_b(xs) * dtc
-        + _repulsive_drift(xs, proj, kvals, pm) * dtc
-    )
+    if unit_k is not None:
+        disp = np.sqrt(dtc) * noise + _repulsive_drift(xs, proj, unit_k, pm) * dtc
+    else:
+        disp = (
+            model.sigma(xs) * np.sqrt(dtc) * noise
+            + model.drift_b(xs) * dtc
+            + _repulsive_drift(xs, proj, model.coupling_values(xs, R), pm) * dtc
+        )
     prop = xs + disp
     prop_proj = prop @ pm.T
     prop_min = prop_proj.min(1)
@@ -220,7 +224,10 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     n_rej = np.zeros(g.size, dtype=np.int64)  # accepted = it - rejected
     stuck_scale = 0.5 ** policy.max_rejects
     t_done = horizon * (1.0 - 1e-12)
+    unit_k = model.unit_constants(R)  # None unless sigma = 1, b = 0, constant k
+    project = policy.wall_mode == "project"
     it = 0  # iterations so far = proposals made by every running lane
+    all_ok, tmax = True, 0.0  # of the last iteration: every scale is 1; max(tl)
     while g.size:
         # every lane proposes once per iteration, so all running lanes sit
         # at the same row of their noise blocks and refill together
@@ -230,18 +237,23 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
                 blocks[p] = gens[p].standard_normal((_NOISE_BLOCK, N))
         noise = blocks[g, row]
 
-        dt = policy.safety * (pmin**2)**policy.gap_exponent
+        # clamps that cannot change dt are skipped: dt <= dt_max <= horizon - tl
+        dt = pmin**2 if policy.gap_exponent == 1.0 else (pmin**2)**policy.gap_exponent
+        dt *= policy.safety
         np.minimum(np.maximum(dt, policy.dt_min, out=dt), policy.dt_max, out=dt)
-        dt *= scale
-        np.minimum(dt, horizon - tl, out=dt)
+        if not all_ok:
+            dt *= scale
+        if horizon - tmax < policy.dt_max:
+            np.minimum(dt, horizon - tl, out=dt)
         prop, prop_proj, prop_min, ok = _propose(
-            model, R, x, proj, dt, noise, policy.wall_tol, policy.wall_mode == "project")
+            model, R, x, proj, dt, noise, policy.wall_tol, project, unit_k)
         it += 1
-        all_ok = ok.all()
+        was_ok, all_ok = all_ok, ok.all()
         if all_ok:  # take the proposals whole: no masks
             acc = slice(None)
             x, proj, pmin, tl = prop, prop_proj, prop_min, tl + dt
-            scale.fill(1.0)
+            if not was_ok:
+                scale.fill(1.0)
         else:
             acc = ok
             x = np.where(ok[:, None], prop, x)
@@ -261,7 +273,8 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             collector.update(tl[acc], prop_proj[acc], g[acc])
 
         # lanes leave on explosion, max_rejects or the horizon: scalar tests first
-        if (tl.max() >= t_done or np.abs(x).max() > policy.explosion_radius
+        tmax = tl.max()  # an upper bound for the lanes that stay
+        if (tmax >= t_done or np.abs(x).max() > policy.explosion_radius
                 or not all_ok and scale.min() < stuck_scale):
             boom = ok & (np.abs(x).max(1) > policy.explosion_radius)
             dead = ~ok & (scale < stuck_scale)

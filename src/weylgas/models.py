@@ -38,6 +38,13 @@ class CoefficientModel:
     def coupling_values(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
         return self.coupling(np.asarray(x, dtype=float), R)
 
+    def unit_constants(self, R: RootSystem) -> Optional[np.ndarray]:
+        """The ``ConstantCoupling`` values on ``R`` if sigma = 1, b = 0; else None."""
+        if (self.sigma is _ones and self.drift_b is _zeros
+                and isinstance(self.coupling, ConstantCoupling)):
+            return self.coupling.values(R)
+        return None
+
 
 def _ones(y) -> np.ndarray:  # unit diffusion, float, of the shape of y
     return np.ones(np.shape(y))
@@ -47,19 +54,26 @@ def _zeros(y) -> np.ndarray:  # zero background drift, float, of the shape of y
     return np.zeros(np.shape(y))
 
 
-def _const_coupling(values_per_root: Callable[[RootSystem], np.ndarray]):
-    last = (None, None)  # the last root system seen and its constants
+class ConstantCoupling:
+    """A coupling constant in x: ``values(R)`` is the cached, read-only (M,)
+    array of constants on ``R``; a call fills a fresh (..., M) array with it."""
 
-    def coupling(x: np.ndarray, R: RootSystem) -> np.ndarray:
-        nonlocal last
-        seen = last  # one read, so a concurrent call cannot mix two pairs
+    def __init__(self, values_per_root: Callable[[RootSystem], np.ndarray]):
+        self._per_root = values_per_root
+        self._last = (None, None)  # the last root system seen and its constants
+
+    def values(self, R: RootSystem) -> np.ndarray:
+        seen = self._last  # one read, so a concurrent call cannot mix two pairs
         if seen[0] is not R:
-            seen = last = (R, values_per_root(R))
-        out = np.empty(x.shape[:-1] + (R.M,))
-        out[...] = seen[1]
-        return out
+            vals = np.array(self._per_root(R), dtype=float)
+            vals.flags.writeable = False
+            seen = self._last = (R, vals)
+        return seen[1]
 
-    return coupling
+    def __call__(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
+        out = np.empty(np.shape(x)[:-1] + (R.M,))
+        out[...] = self.values(R)
+        return out
 
 
 def _pair_indices(R: RootSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +105,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
             raise ValueError("dyson preset requires k > 0")
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
-            coupling=_const_coupling(lambda R: np.full(R.M, k)),
+            coupling=ConstantCoupling(lambda R: np.full(R.M, k)),
             preset="dyson", params={"k": k},
             monotone_drift=True, monotone_coupling=True,
         )
@@ -107,7 +121,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
 
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
-            coupling=_const_coupling(per_root),
+            coupling=ConstantCoupling(per_root),
             preset="bessel_general", params={"k_values": list(np.atleast_1d(k_values))},
             monotone_drift=True, monotone_coupling=False,
         )
@@ -125,7 +139,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
 
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
-            coupling=_const_coupling(per_root),
+            coupling=ConstantCoupling(per_root),
             preset="bessel_b", params={"k1": k1, "k2": k2},
             # the ratio inequality couples the short and long walls; it
             # holds up to the origin wall only for equal constants

@@ -4,7 +4,7 @@ A run directory contains manifest.json (config echo + environment; enough
 to re-execute the run), events.json, dimension.json, summary.json, and
 optionally thinned trajectory CSVs.  summary.json is serialized
 canonically (sorted keys) and is byte-identical across reruns and worker
-counts.
+counts.  events.json is compact JSON with flat t_in/t_out/offsets arrays.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .besq import BesqSpec, besq_exact_transition, besq_hit_probability
@@ -53,10 +55,27 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path, obj):
-    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
+def write_json(path, obj, compact=False):
+    """Canonical JSON: sorted keys, fixed separators, trailing newline.
+    ``compact`` drops the indent and the spaces, so json's C encoder runs."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 1}
+    text = json.dumps(_jsonable(obj), sort_keys=True, **layout)
     Path(path).write_text(text + "\n")
+
+
+def _flat_intervals(per_path: list) -> dict:
+    """Per-path interval lists as flat t_in/t_out arrays plus P+1 offsets."""
+    flat = np.array([iv for ivs in per_path for iv in ivs], dtype=float).reshape(-1, 2)
+    offsets = np.cumsum([0] + [len(ivs) for ivs in per_path])
+    return {"t_in": flat[:, 0], "t_out": flat[:, 1], "offsets": offsets}
+
+
+def _path_intervals(per: dict) -> list:
+    """Per-path interval lists of one eps of events.json, either layout."""
+    if "intervals" in per:  # nested: one [t_in, t_out] list per interval
+        return per["intervals"]
+    off, t_in, t_out = per["offsets"], per["t_in"], per["t_out"]
+    return [list(zip(t_in[a:b], t_out[a:b])) for a, b in zip(off[:-1], off[1:])]
 
 
 def config_digest(doc: dict) -> str:
@@ -241,12 +260,12 @@ def run_simulate(cfg: RunConfig, out_dir=None, workers=None) -> dict:
                 "order1_counts": merged["order1"][eps],
                 "order2_counts": merged["order2"][eps],
                 "argmin_counts": merged["argmin"][eps],
-                "intervals": merged["intervals"][eps],
                 "dropped_intervals": merged["dropped"][eps],
+                **_flat_intervals(merged["intervals"][eps]),
             }
             for eps in cfg.eps_grid
         },
-    })
+    }, compact=True)
     write_json(out / "dimension.json", {
         "dim_eps": cfg.resolved_dim_eps(),
         "scales": cfg.scale_list(),
@@ -266,6 +285,9 @@ def run_simulate(cfg: RunConfig, out_dir=None, workers=None) -> dict:
         "trajectory_index_range": [0, cfg.ensemble - 1],
         "workers": workers,
         "wall_clock_s": wall,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__, "platform": platform.platform(),
+                        "cpu_count": os.cpu_count()},
         "step_stats": summary["paths"],
         "summary": summary,
         "artifacts": sorted({p.name for p in out.iterdir() if p.is_file()}
@@ -315,7 +337,7 @@ def reanalyze_dimension(run_dir, eps=None, scales=None) -> dict:
 
     from .collisions import box_counts
     total = {s: 0 for s in scales}
-    for path_intervals in events["per_eps"][key]["intervals"]:
+    for path_intervals in _path_intervals(events["per_eps"][key]):
         for s, n in box_counts(path_intervals, scales, cfg.T).items():
             total[s] += n
     estimate = fit_box_dimension(total, cfg.T, n_samples=cfg.ensemble)

@@ -155,8 +155,9 @@ def test_lanes_leaving_mid_run_replay_alone(policy, seed):
 
 def _reference_ensemble(model, R, x0, horizon, policy, seed, P, collector=None):
     """The lock-step loop with per-lane masks in every iteration: projections
-    recomputed from the states, masked updates, every exit mask built, and
-    noise drawn one row per lane (interior starts only)."""
+    recomputed from the states, every dt clamp applied, masked updates, every
+    exit mask built, sigma, b and the coupling evaluated in every proposal
+    (no ``unit_k``), and noise drawn one row per lane (interior starts only)."""
     pm = R.positive_matrix
     x = np.broadcast_to(np.asarray(x0, dtype=float), (P, R.N)).copy()
     gens = [trajectory_generator(seed, p) for p in range(P)]
@@ -205,12 +206,24 @@ def _a3_collector(P, T):
     ("dyson", {"k": 0.05}, "A", 2, [-0.05, 0.05], 0.1,
      StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5,
                 wall_mode="project", wall_tol=1e-3), 3, 8),
-], ids=["A3-reject-collector", "B2-project", "three-exits-reject", "three-exits-project"])
+    ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.05,
+     StepPolicy(dt_max=1e-3, gap_exponent=0.5), 5, 10),
+    ("bessel_general", {"k_values": 0.3}, "A", 3, [-0.1, 0.0, 0.1], 0.05,
+     StepPolicy(dt_max=1e-3), 8, 10),
+    ("wishart", {"kappa": 1.0, "a": 4.0}, "A", 3, [0.5, 0.55, 0.6], 0.05,
+     StepPolicy(dt_max=1e-3), 3, 10),
+    # lanes reach this horizon, off the dt_max grid, at iterations 18-2657
+    ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.0123456,
+     StepPolicy(dt_max=1e-3), 6, 10),
+], ids=["A3-reject-collector", "B2-project", "three-exits-reject", "three-exits-project",
+        "A3-gap-exponent-0.5", "A3-bessel-general", "A3-wishart", "A3-off-grid-horizon"])
 def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
                                                policy, seed, P):
     """The engine's loop (carried projections, all-accept fast update, scalar
-    exit tests) gives, byte for byte, the outputs, records and collector
-    results of the per-lane masked reference loop."""
+    exit tests, skipped no-op dt clamps, constants evaluated once per run)
+    gives, byte for byte, the outputs, records and collector results of the
+    per-lane masked reference loop, which evaluates sigma, b and the
+    coupling in every proposal (wishart takes that branch in both)."""
     model, R = make_preset(preset, **params), build_root_system(family, N)
     cols = (_a3_collector(P, T), _a3_collector(P, T)) if family == "A" and N == 3 else (None, None)
     res = simulate_ensemble(model, R, np.array(x0), T, policy, seed, P,

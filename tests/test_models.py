@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weylgas.models import (chamber_grid, compute_bound_constants,
+from weylgas.models import (ConstantCoupling, chamber_grid, compute_bound_constants,
                             dimension_bound_predictor, make_preset,
                             validate_assumptions, wishart_param_map,
                             wishart_param_map_inverse)
@@ -76,6 +76,44 @@ def test_bessel_b_coupling_raises_on_every_wrong_family_call():
         assert m.coupling_values(np.ones(3), B3).shape == (B3.M,)
         with pytest.raises(ValueError):
             m.coupling_values(np.ones(3), A3)
+
+
+@pytest.mark.parametrize("name, params, family", [
+    ("dyson", {"k": 0.3}, "A"),
+    ("bessel_general", {"k_values": [0.7, 0.2, 0.4]}, "A"),
+    ("bessel_b", {"k1": 0.8, "k2": 0.3}, "B"),
+])
+def test_constant_coupling_values_contract(name, params, family):
+    """values(R) is one row of a call, cached and read-only; a call still
+    returns a fresh writable array; unit_constants(R) hands the engine the
+    same values, and the x-dependent presets get None."""
+    m = make_preset(name, **params)
+    assert isinstance(m.coupling, ConstantCoupling)
+    R = build_root_system(family, 3)
+    vals = m.coupling.values(R)
+    assert vals.shape == (R.M,) and vals.dtype == np.float64
+    assert not vals.flags.writeable
+    assert m.coupling.values(R) is vals and m.unit_constants(R) is vals
+    for x in (np.ones(3), np.ones((5, 3))):
+        k = m.coupling_values(x, R)
+        assert k.flags.writeable and not np.shares_memory(k, vals)
+        assert all(row.tobytes() == vals.tobytes() for row in k.reshape(-1, R.M))
+    for other in (make_preset("wishart", kappa=1.0, a=4.0),
+                  make_preset("jacobi", k=1.0, p=5.0, q=5.0, N=3),
+                  make_preset("custom", sigma=lambda y: m.sigma(y), drift_b=m.drift_b,
+                              coupling=m.coupling)):
+        assert other.unit_constants(build_root_system("A", 3)) is None
+
+
+def test_bessel_b_values_raise_on_every_wrong_family_call():
+    m = make_preset("bessel_b", k1=0.8, k2=0.3)
+    B3, A3 = build_root_system("B", 3), build_root_system("A", 3)
+    for _ in range(2):
+        assert m.coupling.values(B3).shape == (B3.M,)
+        with pytest.raises(ValueError):
+            m.coupling.values(A3)
+        with pytest.raises(ValueError):
+            m.unit_constants(A3)
 
 
 def test_wishart_coupling_is_sum_of_pairs():

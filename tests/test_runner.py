@@ -1,9 +1,13 @@
 import functools
 import json
+import os
+import platform
+import shutil
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 import weylgas.runner as runner
@@ -50,17 +54,77 @@ def test_run_directory_artifacts(small_run):
     assert summary["paths"]["exploded"] == 0
 
 
+def _per_path(per):
+    """Path p's [t_in, t_out] pairs from the flat layout of events.json."""
+    off = per["offsets"]
+    return [[list(iv) for iv in zip(per["t_in"][a:b], per["t_out"][a:b])]
+            for a, b in zip(off[:-1], off[1:])]
+
+
 def test_events_json_structure(small_run):
     out, _ = small_run
-    ev = json.loads((out / "events.json").read_text())
+    text = (out / "events.json").read_text()
+    assert "\n" not in text.rstrip("\n") and ", " not in text  # compact
+    ev = json.loads(text)
     per = ev["per_eps"]["0.1"]
     assert len(per["order1_counts"]) == 12
-    assert len(per["intervals"]) == 12
+    assert "intervals" not in per
+    off = per["offsets"]
+    assert len(off) == 13 and off[0] == 0 and off == sorted(off)
+    assert len(per["t_in"]) == len(per["t_out"]) == off[-1] > 0
     assert per["dropped_intervals"] == 0
     # intervals lie inside the horizon
-    for path_ivs in per["intervals"]:
+    for path_ivs in _per_path(per):
         for a, b in path_ivs:
             assert 0.0 <= a <= b <= 0.5 + 1e-9
+
+
+def test_events_json_holds_the_collector_intervals(small_run):
+    """The flat arrays hold exactly the collector's per-path intervals, and
+    the other run files keep their indented layout."""
+    out, _ = small_run
+    cfg = parse_config(dict(SMALL_DOC))
+    merged = runner._execute(cfg.raw)
+    per_eps = json.loads((out / "events.json").read_text())["per_eps"]
+    for eps in cfg.eps_grid:
+        assert _per_path(per_eps[f"{eps:g}"]) == [
+            [list(iv) for iv in ivs] for ivs in merged["intervals"][eps]]
+    for name in ("summary.json", "dimension.json", "manifest.json"):
+        assert (out / name).read_text().startswith('{\n "')
+
+
+def test_reanalyze_reads_nested_events_layout(small_run, tmp_path):
+    """A run directory whose events.json has the earlier nested layout (one
+    list of [t_in, t_out] pairs per path) reanalyzes to the same result."""
+    out, _ = small_run
+    old = tmp_path / "nested"
+    shutil.copytree(out, old)
+    ev = json.loads((out / "events.json").read_text())
+    for per in ev["per_eps"].values():
+        per["intervals"] = _per_path(per)
+        for key in ("t_in", "t_out", "offsets"):
+            del per[key]
+    (old / "events.json").write_text(json.dumps(ev, sort_keys=True, indent=1) + "\n")
+    for eps, scales in ((0.01, [0.25, 0.125, 0.0625]), (0.1, None)):
+        assert reanalyze_dimension(old, eps=eps, scales=scales) == \
+            reanalyze_dimension(out, eps=eps, scales=scales)
+    assert ((old / "dimension_reanalysis.json").read_bytes()
+            == (out / "dimension_reanalysis.json").read_bytes())
+
+
+def test_manifest_records_environment(small_run, tmp_path):
+    """manifest.json names the interpreter, libraries and host; summary.json
+    bytes do not depend on it."""
+    out, manifest = small_run
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env == manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["platform"] == platform.platform()
+    assert env["cpu_count"] == os.cpu_count()
+    run_simulate(parse_config(dict(SMALL_DOC)), out_dir=tmp_path / "again")
+    assert (tmp_path / "again" / "summary.json").read_bytes() == \
+        (out / "summary.json").read_bytes()
 
 
 def test_worker_count_invariance(small_run, tmp_path):
@@ -103,9 +167,9 @@ def test_dropped_intervals_reported(small_run, tmp_path, monkeypatch):
     full = json.loads((out1 / "events.json").read_text())["per_eps"]
     capped = json.loads((out / "events.json").read_text())["per_eps"]
     for key in ("0.1", "0.01"):
-        stored = sum(len(ivs) for ivs in full[key]["intervals"])
-        kept = sum(len(ivs) for ivs in capped[key]["intervals"])
-        assert all(len(ivs) <= 1 for ivs in capped[key]["intervals"])
+        stored = len(full[key]["t_in"])
+        kept = len(capped[key]["t_in"])
+        assert all(len(ivs) <= 1 for ivs in _per_path(capped[key]))
         assert capped[key]["dropped_intervals"] == stored - kept
     assert capped["0.1"]["dropped_intervals"] > 0
     assert (out / "summary.json").read_bytes() == (out1 / "summary.json").read_bytes()
@@ -195,6 +259,9 @@ def test_cli_simulate_and_dimension(tmp_path):
     res = runner.invoke(main, ["simulate", str(cfg), "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert (out / "summary.json").is_file()
+
+    per = json.loads((out / "events.json").read_text())["per_eps"]["0.01"]
+    assert len(per["offsets"]) == 5 and "intervals" not in per
 
     res = runner.invoke(main, ["dimension", str(out), "--eps", "0.01"])
     assert res.exit_code == 0, res.output
