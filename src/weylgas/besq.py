@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,8 @@ def besq_hit_probability(spec: BesqSpec, t: float) -> float:
         raise ValueError("t must be positive")
     if spec.x0 == 0:
         return 1.0
+    from scipy.special import gammaincc  # deferred: it would dominate import weylgas
+
     return float(gammaincc(1.0 - spec.delta / 2.0, spec.x0 / (2.0 * t)))
 
 

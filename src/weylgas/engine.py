@@ -92,7 +92,8 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
     projections ``proj``, step sizes ``dt`` (n,) and normals ``noise``.
 
     Returns (proposals, their projections, each row's smallest projection,
-    mask of those inside).  With ``project``, an outside proposal's
+    mask of those inside), the mask being None when every row is inside
+    (a NaN row is not).  With ``project``, an outside proposal's
     displacement is first shrunk so its smallest projection stays at a
     small fraction of the pre-step value.  Given ``unit_k``, the model's
     ``unit_constants(R)``, sigma = 1 and b = 0 are not evaluated: same bits.
@@ -109,19 +110,20 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
         )
     prop = xs + disp
     prop_proj = prop @ pm.T
-    prop_min = prop_proj.min(1)
-    ok = prop_min > wall_tol
-    if project and not ok.all():
-        bad = np.flatnonzero(~ok)
+    # ufunc reductions: ndarray.min adds a Python-level wrapper to each call
+    prop_min = np.minimum.reduce(prop_proj, axis=1)
+    inside = np.minimum.reduce(prop_min) > wall_tol  # False on NaN
+    if project and not inside:
+        bad = np.flatnonzero(~(prop_min > wall_tol))
         dproj = disp[bad] @ pm.T
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(dproj < 0, (0.05 * proj[bad] - proj[bad]) / dproj, np.inf)
-        lam = np.minimum(np.maximum(lam.min(1), 0.0), 1.0)
+        lam = np.minimum(np.maximum(np.minimum.reduce(lam, axis=1), 0.0), 1.0)
         prop[bad] = xs[bad] + lam[:, None] * disp[bad]
         prop_proj[bad] = prop[bad] @ pm.T
-        prop_min = prop_proj.min(1)
-        ok = prop_min > wall_tol
-    return prop, prop_proj, prop_min, ok
+        prop_min = np.minimum.reduce(prop_proj, axis=1)
+        inside = np.minimum.reduce(prop_min) > wall_tol
+    return prop, prop_proj, prop_min, None if inside else prop_min > wall_tol
 
 
 def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
@@ -147,7 +149,7 @@ def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
         )
     prop, _, _, ok = _propose(model, R, xs, proj, np.array([float(dt)]),
                               np.asarray(noise, dtype=float)[None, :], wall_tol)
-    return prop[0] if ok[0] else None
+    return prop[0] if ok is None else None
 
 
 def boundary_entry_push(x: Sequence[float], model: CoefficientModel,
@@ -227,7 +229,9 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     unit_k = model.unit_constants(R)  # None unless sigma = 1, b = 0, constant k
     project = policy.wall_mode == "project"
     it = 0  # iterations so far = proposals made by every running lane
-    all_ok, tmax = True, 0.0  # of the last iteration: every scale is 1; max(tl)
+    # all_ok: the last iteration accepted every lane, so every scale is 1;
+    # tmax >= max(tl), exact since dt <= dt_max and rounding is monotone
+    all_ok, tmax = True, 0.0
     while g.size:
         # every lane proposes once per iteration, so all running lanes sit
         # at the same row of their noise blocks and refill together
@@ -248,7 +252,8 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         prop, prop_proj, prop_min, ok = _propose(
             model, R, x, proj, dt, noise, policy.wall_tol, project, unit_k)
         it += 1
-        was_ok, all_ok = all_ok, ok.all()
+        tmax += policy.dt_max
+        was_ok, all_ok = all_ok, ok is None
         if all_ok:  # take the proposals whole: no masks
             acc = slice(None)
             x, proj, pmin, tl = prop, prop_proj, prop_min, tl + dt
@@ -264,7 +269,7 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             n_rej += ~ok
 
         if record:
-            for l in np.flatnonzero(ok):
+            for l in np.arange(g.size)[acc]:
                 rec_times[g[l]].append(tl[l])
                 rec_states[g[l]].append(x[l].copy())
                 rec_dts[g[l]].append(dt[l])
@@ -272,10 +277,15 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         if collector is not None and (all_ok or ok.any()):
             collector.update(tl[acc], prop_proj[acc], g[acc])
 
-        # lanes leave on explosion, max_rejects or the horizon: scalar tests first
-        tmax = tl.max()  # an upper bound for the lanes that stay
-        if (tmax >= t_done or np.abs(x).max() > policy.explosion_radius
-                or not all_ok and scale.min() < stuck_scale):
+        # lanes leave on explosion, max_rejects or the horizon: scalar tests
+        # first; max(tl) is taken only when its bound reaches the horizon
+        if tmax >= t_done:
+            tmax = np.maximum.reduce(tl)  # also a bound for the lanes that stay
+        if (tmax >= t_done
+                or np.maximum.reduce(np.abs(x), axis=None) > policy.explosion_radius
+                or not all_ok and np.minimum.reduce(scale) < stuck_scale):
+            if all_ok:
+                ok = np.ones(g.size, dtype=bool)
             boom = ok & (np.abs(x).max(1) > policy.explosion_radius)
             dead = ~ok & (scale < stuck_scale)
             leave = boom | dead | (tl >= t_done)

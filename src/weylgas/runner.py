@@ -16,11 +16,9 @@ import os
 import platform
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .besq import BesqSpec, besq_exact_transition, besq_hit_probability
@@ -144,6 +142,8 @@ def _execute(doc: dict, seed_extra: tuple = (), workers: int = 1,
     if len(bounds) == 1:
         chunks = [_run_chunk(doc, bounds[0][0], bounds[0][1], seed_extra, record)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             futures = [pool.submit(_run_chunk, doc, s, c, seed_extra, record)
                        for s, c in bounds]
@@ -277,6 +277,8 @@ def run_simulate(cfg: RunConfig, out_dir=None, workers=None) -> dict:
     if cfg.record_trajectories:
         _write_trajectories(out, merged["records"], cfg.root_system(),
                             cfg.thin_stride)
+
+    import scipy  # only its version is recorded; import weylgas does not load it
 
     manifest = {
         "config": cfg.raw,
@@ -501,10 +503,13 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
     p_exact = besq_hit_probability(spec, t=1.0)
     paths = 20_000
     dt = 5e-4
-    x = np.full(paths, spec.x0)  # unabsorbed paths only, in path order
+    drift, diffusion = spec.delta * dt, 2.0 * np.sqrt(dt)
+    x = np.full(paths, spec.x0)  # unabsorbed paths only, in path order: x > 0
     for _ in range(int(1.0 / dt)):
         xi = rng.standard_normal(x.size)
-        x += spec.delta * dt + 2.0 * np.sqrt(np.maximum(x, 0)) * np.sqrt(dt) * xi
+        xi *= np.sqrt(x) * diffusion
+        xi += drift
+        x += xi
         x = x[x > 0]
     p_mc = (paths - x.size) / paths
     se = np.sqrt(p_mc * (1 - p_mc) / paths)

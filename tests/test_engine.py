@@ -175,6 +175,7 @@ def _reference_ensemble(model, R, x0, horizon, policy, seed, P, collector=None):
         dt = np.minimum(dt * scale[g], horizon - t[g])
         prop, prop_proj, _, ok = _propose(model, R, x[g], proj, dt, noise,
                                           policy.wall_tol, policy.wall_mode == "project")
+        ok = np.ones(g.size, dtype=bool) if ok is None else ok
         acc, rej = g[ok], g[~ok]
         x[acc], t[acc], scale[acc] = prop[ok], t[acc] + dt[ok], 1.0
         scale[rej] *= 0.5
@@ -253,7 +254,8 @@ def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
 @pytest.mark.parametrize("project", [False, True])
 def test_propose_returns_row_minimum_of_projections(project):
     """The returned minimum is each proposal's smallest projection, also on
-    rows that ``project`` shrank back inside the chamber."""
+    rows that ``project`` shrank back inside the chamber; the mask is None
+    exactly when every row is inside."""
     R = build_root_system("B", 2)
     model = make_preset("bessel_b", k1=0.1, k2=0.6)
     rng = np.random.default_rng(4)
@@ -264,13 +266,33 @@ def test_propose_returns_row_minimum_of_projections(project):
     noise = rng.normal(size=(64, 2))
     prop, prop_proj, prop_min, ok = _propose(model, R, xs, proj, dt, noise, 0.0, project)
     assert prop_min.tobytes() == prop_proj.min(1).tobytes()
-    assert np.array_equal(ok, prop_min > 0.0)
+    if ok is None:
+        assert project and np.all(prop_min > 0.0)
+    else:
+        assert np.array_equal(ok, prop_min > 0.0)
     plain, _, _, plain_ok = _propose(model, R, xs, proj, dt, noise)
-    assert not plain_ok.all()  # some proposals leave the chamber
+    assert plain_ok is not None and not plain_ok.all()  # some proposals leave
     if project:
         shrunk = np.flatnonzero(~plain_ok)
         assert not np.array_equal(prop[shrunk], plain[shrunk])
-        assert ok[shrunk].all()
+        assert ok is None or ok[shrunk].all()
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_propose_masks_nan_proposals(project):
+    """A NaN proposal is outside: the all-inside test fails on it, and the
+    mask is built, False on that row only."""
+    R = build_root_system("A", 3)
+    model = make_preset("dyson", k=0.25)
+    xs = np.array([[-0.5, 0.0, 0.5]] * 3)
+    proj = xs @ R.positive_matrix.T
+    noise = np.zeros((3, 3))
+    noise[1, 0] = np.nan
+    *_, ok = _propose(model, R, xs, proj, np.full(3, 1e-4), noise, 0.0, project,
+                      model.unit_constants(R))
+    assert ok is not None and ok.tolist() == [True, False, True]
+    *_, ok = _propose(model, R, xs, proj, np.full(3, 1e-4), np.zeros((3, 3)))
+    assert ok is None
 
 
 def test_boundary_start_enters_interior(dyson2):

@@ -3,7 +3,10 @@ import json
 import os
 import platform
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +128,20 @@ def test_manifest_records_environment(small_run, tmp_path):
     run_simulate(parse_config(dict(SMALL_DOC)), out_dir=tmp_path / "again")
     assert (tmp_path / "again" / "summary.json").read_bytes() == \
         (out / "summary.json").read_bytes()
+
+
+def test_import_loads_no_scipy_special_stats_or_process_pool():
+    """``import weylgas`` (and its CLI) leaves scipy.special, scipy.stats and
+    the process pool to the functions that use them.  Checked in a fresh
+    interpreter, because this test process has imported scipy already."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, weylgas, weylgas.cli; print(sorted(m for m in ("
+            "'scipy.special', 'scipy.stats', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_worker_count_invariance(small_run, tmp_path):
