@@ -2,10 +2,11 @@
 extraction, box-counting dimension estimation, and the projection time
 change.
 
-Two entry points exist for most quantities: pure functions over a
-``TrajectoryRecord`` (small runs, tests) and the streaming
-``EnsembleCollector`` that accumulates the same statistics while a
-vectorized ensemble is being integrated, without storing paths.
+One run finder, ``_event_runs``, decides what an event is.  The pure
+functions over a ``TrajectoryRecord`` (small runs, tests) call it on one
+recorded path; the streaming ``EnsembleCollector`` calls it on each block
+of accepted steps while a vectorized ensemble integrates, without storing
+paths.
 """
 
 from __future__ import annotations
@@ -66,11 +67,42 @@ class CollisionEvent:
 
 
 def _interp_crossing(t0, v0, t1, v1, eps):
-    """Linear interpolation of the time where the series crosses eps."""
-    if v1 == v0:
-        return t0
-    lam = (eps - v0) / (v1 - v0)
+    """Linear interpolation of the times where the series crosses eps;
+    a flat step (v1 == v0) divides by inf and gives t0."""
+    lam = (eps - v0) / np.where(v1 == v0, np.inf, v1 - v0)
     return t0 + np.clip(lam, 0.0, 1.0) * (t1 - t0)
+
+
+def _event_runs(minv, wproj, first, eps):
+    """The events of rows grouped by path, each path's rows in time order.
+
+    An event is a maximal run of a path's consecutive rows whose smallest
+    weighted projection ``minv`` is below eps.  Its order (projections of
+    ``wproj`` below eps) and its deepest root are read at the run's first
+    minimum.  ``first`` marks each path's first row, ``eps`` is an (E, 1)
+    column.  Returns, per run in eps-major order: the eps index, the first,
+    last and first-minimum rows, the order and the deepest root.
+    """
+    n = minv.size
+    below = minv < eps  # (E, n)
+    start = below & first
+    start[:, 1:] |= below[:, 1:] & ~below[:, :-1]
+    end = below & np.roll(first, -1)  # a path's last row ends its run
+    end[:, :-1] |= below[:, :-1] & ~below[:, 1:]
+    es, rs = np.nonzero(start)
+    re = np.nonzero(end)[1]  # runs never overlap: starts and ends pair up
+    if not es.size:
+        return es, rs, re, rs, rs, rs
+    # first minimum of each run; rows off runs read inf
+    vals = np.where(below, minv, np.inf).ravel()
+    mins = np.minimum.reduceat(vals, es * n + rs)
+    seg = np.cumsum(start.ravel()) - 1
+    hits = np.flatnonzero(vals == mins[seg])
+    keep = np.ones(hits.size, dtype=bool)
+    np.not_equal(seg[hits[1:]], seg[hits[:-1]], out=keep[1:])
+    imin = hits[keep] - es * n
+    rmin = wproj[imin]
+    return es, rs, re, imin, (rmin < eps[es]).sum(axis=1), rmin.argmin(axis=1)
 
 
 def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
@@ -86,11 +118,19 @@ def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
     if eps <= 0:
         raise ValueError("eps must be positive")
     wproj = _weighted_proj_matrix(traj, R, w)
-    times = traj.times
     minv = wproj.min(axis=1)
-    below = minv < eps
-    if not below.any():
+    _, s, e, imin, order, amin = _event_runs(
+        minv, wproj, np.arange(minv.size) == 0, np.array([[eps]]))
+    if not s.size:
         return []
+    times = traj.times
+    # a run at the first or last row meets a flat step there: that row's time
+    sp, en = np.maximum(s - 1, 0), np.minimum(e + 1, len(times) - 1)
+    t_in = _interp_crossing(times[sp], minv[sp], times[s], minv[s], eps)
+    t_out = _interp_crossing(times[e], minv[e], times[en], minv[en], eps)
+    rows = wproj[imin]
+    second = np.partition(rows, 1, axis=1)[:, 1] if R.M > 1 else np.inf
+    second_gap = second - minv[imin]  # inf for a single root
 
     # tau_n markers: first crossing of e_n below eps^(2*(M - n + 1))
     e_all = elementary_rows(wproj**2, R.M)
@@ -101,37 +141,19 @@ def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
         if hits.size:
             tau[n] = float(times[hits[0]])
 
-    events: list[CollisionEvent] = []
-    edges = np.flatnonzero(np.diff(below.astype(np.int8)))
-    starts = [0] if below[0] else []
-    starts += [i + 1 for i in edges if not below[i]]
-    ends = []
-    for i in edges:
-        if below[i]:
-            ends.append(i)
-    if below[-1]:
-        ends.append(len(below) - 1)
-
-    for s, e in zip(starts, ends):
-        t_in = times[s] if s == 0 else float(
-            _interp_crossing(times[s - 1], minv[s - 1], times[s], minv[s], eps))
-        t_out = times[e] if e == len(below) - 1 else float(
-            _interp_crossing(times[e], minv[e], times[e + 1], minv[e + 1], eps))
-        imin = s + int(np.argmin(minv[s:e + 1]))
-        row = wproj[imin]
-        active = np.flatnonzero(row < eps)
-        second = np.partition(row, 1)[1] if R.M > 1 else np.inf
-        markers = {n: tv for n, tv in tau.items() if t_in <= tv <= t_out}
-        events.append(CollisionEvent(
-            t_in=float(t_in), t_out=float(t_out), t_min=float(times[imin]),
-            min_value=float(minv[imin]),
-            min_root=R.positive_roots[int(np.argmin(row))],
-            active_roots=tuple(R.positive_roots[i] for i in active),
-            order=int(active.size),
-            second_gap=float(second - minv[imin]),
-            tau_markers=markers,
-        ))
-    return events
+    roots = R.positive_roots
+    return [
+        CollisionEvent(
+            t_in=a, t_out=b, t_min=tm, min_value=mv, min_root=roots[r],
+            active_roots=tuple(roots[i] for i in np.flatnonzero(row < eps)),
+            order=o, second_gap=gap,
+            tau_markers={n: tv for n, tv in tau.items() if a <= tv <= b},
+        )
+        for a, b, tm, mv, r, row, o, gap in zip(
+            t_in.tolist(), t_out.tolist(), times[imin].tolist(),
+            minv[imin].tolist(), amin.tolist(), rows, order.tolist(),
+            second_gap.tolist())
+    ]
 
 
 def multiple_collision_scaling(ensemble: Sequence[TrajectoryRecord], R: RootSystem,
@@ -144,17 +166,20 @@ def multiple_collision_scaling(ensemble: Sequence[TrajectoryRecord], R: RootSyst
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must be non-empty")
-    rows = []
-    for eps in eps_grid:
-        any1 = 0
-        any2 = 0
-        for traj in ensemble:
-            events = detect_collision_events(traj, R, w, eps)
-            orders = [ev.order for ev in events]
-            any1 += any(o == 1 for o in orders)
-            any2 += any(o >= 2 for o in orders)
-        rows.append((float(eps), any1 / len(ensemble), any2 / len(ensemble)))
-    return rows
+    eps = np.array(eps_grid, dtype=float).reshape(-1, 1)
+    if (eps <= 0).any():
+        raise ValueError("eps must be positive")
+    any1 = np.zeros(len(eps), dtype=np.int64)
+    any2 = np.zeros(len(eps), dtype=np.int64)
+    for traj in ensemble:
+        wproj = _weighted_proj_matrix(traj, R, w)
+        es, *_, order, _ = _event_runs(wproj.min(axis=1), wproj,
+                                       np.arange(len(wproj)) == 0, eps)
+        any1[np.unique(es[order == 1])] += 1
+        any2[np.unique(es[order >= 2])] += 1
+    P = len(ensemble)
+    return [(e, n1 / P, n2 / P)
+            for e, n1, n2 in zip(eps[:, 0].tolist(), any1.tolist(), any2.tolist())]
 
 
 def zero_set(traj: TrajectoryRecord, R: RootSystem, w=None,
@@ -380,38 +405,20 @@ class EnsembleCollector:
             cols = np.minimum((tb / self._scales).astype(np.int64), self._n_boxes - 1)
             self._occ[g[near][:, None], cols + self._box0] = True
 
-        n = g.size
-        first = np.ones(n, dtype=bool)  # a path's first row in this flush
+        first = np.ones(g.size, dtype=bool)  # a path's first row in this flush
         np.not_equal(g[1:], g[:-1], out=first[1:])
         last = np.roll(first, -1)  # and its last row
         heads, tails = np.flatnonzero(first), np.flatnonzero(last)
         gp = g[heads]
-        below = minv < self._eps  # (E, n)
-        start = below & first
-        start[:, 1:] |= below[:, 1:] & ~below[:, :-1]
-        end = below & last
-        end[:, :-1] |= below[:, :-1] & ~below[:, 1:]
-        es, rs = np.nonzero(start)
-        re = np.nonzero(end)[1]  # runs never overlap: starts and ends pair up
+        es, rs, re, imin, depth, amin = _event_runs(minv, wproj, first, self._eps)
 
         # open events whose path's first row here is above eps ended before it
-        ei, j = np.nonzero(self._below[:, gp] & ~below[:, heads])
+        ei, j = np.nonzero(self._below[:, gp] & ~(minv[heads] < self._eps))
         pe = gp[j]
         closing = [(ei, pe, *self._stored(ei, pe))]
         if es.size:
             p = g[rs]
-            t_in, t_out = t[rs], t[re]
-            # first minimum of each run; rows off runs read inf
-            vals = np.where(below, minv, np.inf).ravel()
-            fs = es * n + rs
-            mins = np.minimum.reduceat(vals, fs)
-            seg = np.cumsum(start.ravel()) - 1
-            hits = np.flatnonzero(vals == mins[seg])
-            keep = np.ones(hits.size, dtype=bool)
-            np.not_equal(seg[hits[1:]], seg[hits[:-1]], out=keep[1:])
-            rmin = wproj[hits[keep] - es * n]
-            depth = (rmin < self._eps[es]).sum(axis=1)
-            amin = rmin.argmin(axis=1)
+            t_in, t_out, mins = t[rs], t[re], minv[imin]
             # a run at a path's first row continues the open event there,
             # which keeps its minimum unless the run goes strictly lower
             cont = first[rs] & self._below[es, p]
@@ -430,7 +437,7 @@ class EnsembleCollector:
             self._cur_argmin[eo, po] = amin[op]
             cl = ~op
             closing.append((es[cl], p[cl], t_in[cl], t_out[cl], depth[cl], amin[cl]))
-        self._below[:, gp] = below[:, tails]
+        self._below[:, gp] = minv[tails] < self._eps
         self._close(*(np.concatenate(a) for a in zip(*closing)))
 
     def _stored(self, ei, p):

@@ -82,14 +82,13 @@ def config_digest(doc: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _run_chunk(doc: dict, start: int, count: int, seed_extra: tuple,
+def _run_chunk(cfg: RunConfig, start: int, count: int, seed_extra: tuple,
                record: bool = False) -> dict:
     """Integrate trajectories [start, start+count) and collect statistics.
 
-    Top-level so it can run in a worker process; the model is rebuilt from
-    the config document because coefficient callables do not pickle.
+    Top-level so it can run in a worker process.  The parsed config pickles;
+    the model is built here because coefficient callables do not pickle.
     """
-    cfg = parse_config(doc)
     R = cfg.root_system()
     model = cfg.model()
     x0 = cfg.x0_array(R)
@@ -105,10 +104,6 @@ def _run_chunk(doc: dict, start: int, count: int, seed_extra: tuple,
     )
     collector.finalize()
     return {
-        "start": start,
-        "count": count,
-        "final_states": res.final_states,
-        "final_times": res.final_times,
         "lifetime_flags": res.lifetime_flags,
         "stuck_flags": res.stuck_flags,
         "rejected_steps": res.rejected_steps,
@@ -119,7 +114,7 @@ def _run_chunk(doc: dict, start: int, count: int, seed_extra: tuple,
         "intervals": collector.intervals,
         "dropped": collector.dropped_intervals,
         "box_counts": collector.pooled_counts(),
-        "records": res.records,
+        "records": res.records or [],  # None when not recorded
     }
 
 
@@ -134,44 +129,33 @@ def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _execute(doc: dict, seed_extra: tuple = (), workers: int = 1,
+def _merge(parts: list):
+    """Chunk results in index order as one: arrays and lists concatenate,
+    numbers add, dicts merge key by key."""
+    head = parts[0]
+    if isinstance(head, dict):
+        return {k: _merge([p[k] for p in parts]) for k in head}
+    if isinstance(head, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(head, list):
+        return [x for p in parts for x in p]
+    return sum(parts)
+
+
+def _execute(cfg: RunConfig, seed_extra: tuple = (), workers: int = 1,
              record: bool = False) -> dict:
     """Run the full ensemble, merging worker chunks in index order."""
-    cfg = parse_config(doc)
     bounds = _chunk_bounds(cfg.ensemble, max(1, workers))
     if len(bounds) == 1:
-        chunks = [_run_chunk(doc, bounds[0][0], bounds[0][1], seed_extra, record)]
+        chunks = [_run_chunk(cfg, *bounds[0], seed_extra, record)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [pool.submit(_run_chunk, doc, s, c, seed_extra, record)
+            futures = [pool.submit(_run_chunk, cfg, s, c, seed_extra, record)
                        for s, c in bounds]
             chunks = [f.result() for f in futures]
-    chunks.sort(key=lambda c: c["start"])
-
-    merged = {
-        "final_states": np.concatenate([c["final_states"] for c in chunks]),
-        "final_times": np.concatenate([c["final_times"] for c in chunks]),
-        "lifetime_flags": np.concatenate([c["lifetime_flags"] for c in chunks]),
-        "stuck_flags": np.concatenate([c["stuck_flags"] for c in chunks]),
-        "rejected_steps": np.concatenate([c["rejected_steps"] for c in chunks]),
-        "accepted_steps": np.concatenate([c["accepted_steps"] for c in chunks]),
-        "order1": {}, "order2": {}, "argmin": {}, "intervals": {},
-        "dropped": {}, "box_counts": {},
-        "records": None,
-    }
-    for eps in cfg.eps_grid:
-        merged["order1"][eps] = np.concatenate([c["order1"][eps] for c in chunks])
-        merged["order2"][eps] = np.concatenate([c["order2"][eps] for c in chunks])
-        merged["argmin"][eps] = np.concatenate([c["argmin"][eps] for c in chunks])
-        merged["intervals"][eps] = sum((c["intervals"][eps] for c in chunks), [])
-        merged["dropped"][eps] = sum(c["dropped"][eps] for c in chunks)
-    for s in cfg.scale_list():
-        merged["box_counts"][s] = sum(c["box_counts"][s] for c in chunks)
-    if record:
-        merged["records"] = sum((c["records"] for c in chunks), [])
-    return merged
+    return _merge(chunks)
 
 
 def _summarize(cfg: RunConfig, merged: dict) -> dict:
@@ -247,7 +231,7 @@ def run_simulate(cfg: RunConfig, out_dir=None, workers=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.monotonic()
-    merged = _execute(cfg.raw, workers=workers, record=cfg.record_trajectories)
+    merged = _execute(cfg, workers=workers, record=cfg.record_trajectories)
     wall = time.monotonic() - t0
 
     summary = _summarize(cfg, merged)
@@ -376,8 +360,8 @@ def run_sweep(cfg: RunConfig, out_dir=None, workers=None) -> dict:
         doc[p1] = v1
         if p2 is not None:
             doc[p2] = v2
-        merged = _execute(doc, seed_extra=(i,), workers=workers)
         point_cfg = parse_config(doc)
+        merged = _execute(point_cfg, seed_extra=(i,), workers=workers)
         summary = _summarize(point_cfg, merged)
         finest = f"{min(cfg.eps_grid):g}"
         row = {

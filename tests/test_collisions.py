@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import weylgas.collisions as collisions
-from weylgas.collisions import (EnsembleCollector, box_counting_dimension,
+from weylgas.collisions import (CollisionEvent, EnsembleCollector,
+                                box_counting_dimension,
                                 box_counts, detect_collision_events,
                                 dyadic_scales, fit_box_dimension,
                                 min_projection_series,
@@ -95,6 +96,68 @@ def test_multiple_collision_scaling_shape():
     assert rows[0][2] == rows[1][2] == 0.0
     with pytest.raises(ValueError):
         multiple_collision_scaling([], R)
+
+
+def test_detect_events_edges_exact():
+    """Runs at the first and the last row take those rows' times; inner
+    edges interpolate; a tie keeps the first minimum; the tau marker lies in
+    the first event only; one root (A2) leaves no runner-up."""
+    R = build_root_system("A", 2)
+    gaps = [0.25, 0.5, 0.25, 0.25, 0.5, 0.5, 0.25]
+    rec = _record(range(7), [[-g / 2, g / 2] for g in gaps])
+    root = (-1, 1)
+
+    def event(t_in, t_out, t_min, tau):
+        return CollisionEvent(t_in=t_in, t_out=t_out, t_min=t_min, min_value=0.25,
+                              min_root=root, active_roots=(root,), order=1,
+                              second_gap=np.inf, tau_markers=tau)
+
+    # edges cross eps = 0.375 halfway between a 0.25 and a 0.5 sample
+    assert detect_collision_events(rec, R, eps=0.375) == [
+        event(0.0, 0.5, 0.0, {1: 0.0}),
+        event(1.5, 3.5, 2.0, {}),
+        event(5.5, 6.0, 6.0, {}),
+    ]
+
+
+def test_interp_crossing_flat_step():
+    """A step with equal values at both ends crosses at its start."""
+    assert collisions._interp_crossing(2.0, 0.5, 3.0, 0.5, 0.375) == 2.0
+    assert collisions._interp_crossing(2.0, 0.25, 3.0, 0.25, 0.375) == 2.0
+    t = collisions._interp_crossing(np.array([2.0, 2.0]), np.array([0.5, 0.5]),
+                                    np.array([3.0, 3.0]), np.array([0.5, 0.25]), 0.375)
+    assert t.tolist() == [2.0, 2.5]
+
+
+def _scaling_reference(ensemble, R, eps_grid):
+    """multiple_collision_scaling as full event detection once per eps."""
+    rows = []
+    for eps in eps_grid:
+        any1 = any2 = 0
+        for rec in ensemble:
+            orders = [ev.order for ev in detect_collision_events(rec, R, eps=eps)]
+            any1 += any(o == 1 for o in orders)
+            any2 += any(o >= 2 for o in orders)
+        rows.append((float(eps), any1 / len(ensemble), any2 / len(ensemble)))
+    return rows
+
+
+@pytest.mark.parametrize("preset, params, family, x0", [
+    ("dyson", {"k": 0.15}, "A", [-0.1, 0.1]),
+    ("dyson", {"k": 0.25}, "A", [-0.1, 0.0, 0.1]),
+    ("bessel_b", {"k1": 0.1, "k2": 0.4}, "B", [0.05, 0.1]),
+], ids=["A2", "A3", "B2"])
+def test_multiple_collision_scaling_matches_per_eps_detection(preset, params, family, x0):
+    R = build_root_system(family, len(x0))
+    res = simulate_ensemble(make_preset(preset, **params), R, np.array(x0), 0.2,
+                            StepPolicy(dt_max=1e-3), 3, n_paths=12, record=True)
+    eps_grid = (0.1, 0.05, 0.01, 0.001)
+    rows = multiple_collision_scaling(res.records, R, eps_grid=eps_grid)
+    assert rows == _scaling_reference(res.records, R, eps_grid)
+    assert rows[0][1] > 0
+    for bad in (0.0, -0.01):
+        with pytest.raises(ValueError):
+            multiple_collision_scaling(res.records, R, eps_grid=(0.1, bad))
 
 
 # ---------------------------------------------------------------------------

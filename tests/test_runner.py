@@ -87,7 +87,7 @@ def test_events_json_holds_the_collector_intervals(small_run):
     the other run files keep their indented layout."""
     out, _ = small_run
     cfg = parse_config(dict(SMALL_DOC))
-    merged = runner._execute(cfg.raw)
+    merged = runner._execute(cfg)
     per_eps = json.loads((out / "events.json").read_text())["per_eps"]
     for eps in cfg.eps_grid:
         assert _per_path(per_eps[f"{eps:g}"]) == [
@@ -145,12 +145,20 @@ def test_import_loads_no_scipy_special_stats_or_process_pool():
 
 
 def test_worker_count_invariance(small_run, tmp_path):
-    """summary.json is byte-identical for 1 and 3 workers."""
+    """summary.json, events.json and dimension.json are byte-identical for 1
+    and 3 workers, and so are the trajectory CSVs of a recorded run."""
     out1, _ = small_run
     out3 = tmp_path / "w3"
     run_simulate(parse_config(dict(SMALL_DOC)), out_dir=out3, workers=3)
-    assert (out1 / "summary.json").read_bytes() == (out3 / "summary.json").read_bytes()
-    assert (out1 / "events.json").read_bytes() == (out3 / "events.json").read_bytes()
+    for name in ("summary.json", "events.json", "dimension.json"):
+        assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+    doc = dict(SMALL_DOC, ensemble=5, record_trajectories=True, thin_stride=4)
+    for workers in (1, 3):
+        run_simulate(parse_config(doc), out_dir=tmp_path / f"rec{workers}", workers=workers)
+    files = sorted((tmp_path / "rec1" / "trajectories").iterdir())
+    assert len(files) == 5
+    for f in files:
+        assert f.read_bytes() == (tmp_path / "rec3" / "trajectories" / f.name).read_bytes()
 
 
 def test_rerun_from_manifest(small_run, tmp_path):
