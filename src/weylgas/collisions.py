@@ -105,6 +105,24 @@ def _event_runs(minv, wproj, first, eps):
     return es, rs, re, imin, (rmin < eps[es]).sum(axis=1), rmin.argmin(axis=1)
 
 
+def _path_runs(traj: TrajectoryRecord, R: RootSystem, w, eps: float):
+    """The events of one path: its weighted projections, their row minimum,
+    and per run the entry and exit times interpolated on that minimum,
+    then the first-minimum row, order and deepest root of ``_event_runs``."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    wproj = _weighted_proj_matrix(traj, R, w)
+    minv = wproj.min(axis=1)
+    _, s, e, imin, order, amin = _event_runs(
+        minv, wproj, np.arange(minv.size) == 0, np.array([[eps]]))
+    times = traj.times
+    # a run at the first or last row meets a flat step there: that row's time
+    sp, en = np.maximum(s - 1, 0), np.minimum(e + 1, len(times) - 1)
+    t_in = _interp_crossing(times[sp], minv[sp], times[s], minv[s], eps)
+    t_out = _interp_crossing(times[e], minv[e], times[en], minv[en], eps)
+    return wproj, minv, t_in, t_out, imin, order, amin
+
+
 def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
                             eps: float = 1e-4) -> list[CollisionEvent]:
     """Find all boundary approaches below eps along one trajectory.
@@ -115,19 +133,10 @@ def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
     tau_n (weighted e_n falling below eps^(2*(M-n+1))) are attached to the
     event containing them.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    wproj = _weighted_proj_matrix(traj, R, w)
-    minv = wproj.min(axis=1)
-    _, s, e, imin, order, amin = _event_runs(
-        minv, wproj, np.arange(minv.size) == 0, np.array([[eps]]))
-    if not s.size:
+    wproj, minv, t_in, t_out, imin, order, amin = _path_runs(traj, R, w, eps)
+    if not t_in.size:
         return []
     times = traj.times
-    # a run at the first or last row meets a flat step there: that row's time
-    sp, en = np.maximum(s - 1, 0), np.minimum(e + 1, len(times) - 1)
-    t_in = _interp_crossing(times[sp], minv[sp], times[s], minv[s], eps)
-    t_out = _interp_crossing(times[e], minv[e], times[en], minv[en], eps)
     rows = wproj[imin]
     second = np.partition(rows, 1, axis=1)[:, 1] if R.M > 1 else np.inf
     second_gap = second - minv[imin]  # inf for a single root
@@ -187,9 +196,11 @@ def zero_set(traj: TrajectoryRecord, R: RootSystem, w=None,
     """Times where the smallest weighted projection is below eps.
 
     Returned as a sorted list of disjoint (t_in, t_out) intervals; nested
-    in eps (smaller eps gives a subset).
+    in eps (smaller eps gives a subset).  These are the ``t_in``, ``t_out``
+    of ``detect_collision_events``, without its tau markers and events.
     """
-    return [(ev.t_in, ev.t_out) for ev in detect_collision_events(traj, R, w, eps)]
+    _, _, t_in, t_out, *_ = _path_runs(traj, R, w, eps)
+    return list(zip(t_in.tolist(), t_out.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,9 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     lifetime = np.zeros(P, dtype=bool)
     stuck = np.zeros(P, dtype=bool)
 
-    rec_times = [[0.0] for _ in range(P)] if record else None
-    rec_states = [[states[p].copy()] for p in range(P)] if record else None
-    rec_dts = [[] for _ in range(P)] if record else None
+    # recorded rows (path, time, state, dt) in blocks, one per iteration;
+    # the start rows' dt is a placeholder
+    rec = [(np.arange(P), np.zeros(P), states.copy(), np.zeros(P))] if record else None
 
     # lane l runs path g[l] at x[l] and carries its projections proj[l] and
     # their minimum pmin[l]; lane arrays are written back when it leaves
@@ -268,11 +268,8 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             scale = np.where(ok, 1.0, scale * 0.5)
             n_rej += ~ok
 
-        if record:
-            for l in np.arange(g.size)[acc]:
-                rec_times[g[l]].append(tl[l])
-                rec_states[g[l]].append(x[l].copy())
-                rec_dts[g[l]].append(dt[l])
+        if record:  # no copies: the loop writes none of these in place
+            rec.append((g, tl, x, dt) if all_ok else (g[ok], tl[ok], x[ok], dt[ok]))
 
         if collector is not None and (all_ok or ok.any()):
             collector.update(tl[acc], prop_proj[acc], g[acc])
@@ -300,19 +297,23 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
                 a[~leave] for a in (g, x, proj, pmin, tl, scale, n_rej))
 
     records = None
-    if record:
+    if record:  # a stable sort by path keeps each path's rows in time order
+        path, times, xs, dts = (np.concatenate(c) for c in zip(*rec))
+        order = np.argsort(path, kind="stable")
+        times, xs, dts = times[order], xs[order], dts[order]
+        ends = np.cumsum(np.bincount(path, minlength=P)).tolist()
         records = [
             TrajectoryRecord(
-                times=np.asarray(rec_times[p]),
-                states=np.asarray(rec_states[p]),
-                step_sizes=np.asarray(rec_dts[p]),
+                times=times[a:b],
+                states=xs[a:b],
+                step_sizes=dts[a + 1:b],
                 master_seed=master_seed,
                 traj_index=base_index + p,
                 lifetime_flag=bool(lifetime[p]),
                 stuck=bool(stuck[p]),
                 rejected_steps=int(rejected_steps[p]),
             )
-            for p in range(P)
+            for p, a, b in zip(range(P), [0] + ends, ends)
         ]
     return EnsembleResult(
         final_states=states, final_times=t, lifetime_flags=lifetime,

@@ -160,6 +160,28 @@ def test_multiple_collision_scaling_matches_per_eps_detection(preset, params, fa
             multiple_collision_scaling(res.records, R, eps_grid=(0.1, bad))
 
 
+@pytest.mark.parametrize("preset, params, family, x0", [
+    ("dyson", {"k": 0.15}, "A", [-0.1, 0.1]),
+    ("dyson", {"k": 0.25}, "A", [-0.1, 0.0, 0.1]),
+    ("bessel_b", {"k1": 0.1, "k2": 0.4}, "B", [0.05, 0.1]),
+], ids=["A2", "A3", "B2"])
+def test_zero_set_equals_event_edges(preset, params, family, x0):
+    """zero_set skips the events and tau markers but keeps their edges,
+    as exact floats."""
+    R = build_root_system(family, len(x0))
+    res = simulate_ensemble(make_preset(preset, **params), R, np.array(x0), 0.2,
+                            StepPolicy(dt_max=1e-3), 4, n_paths=8, record=True)
+    n_events = 0
+    for rec in res.records:
+        for eps in (0.1, 0.01, 1e-3):
+            events = detect_collision_events(rec, R, eps=eps)
+            assert zero_set(rec, R, eps=eps) == [(e.t_in, e.t_out) for e in events]
+            n_events += len(events)
+    assert n_events > 0
+    with pytest.raises(ValueError):
+        zero_set(res.records[0], R, eps=0.0)
+
+
 # ---------------------------------------------------------------------------
 # box counting
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import scipy
 from click.testing import CliRunner
 
 import weylgas.runner as runner
+from weylgas.besq import BesqSpec, besq_exact_transition
 from weylgas.cli import main
 from weylgas.collisions import EnsembleCollector
 from weylgas.config import parse_config
@@ -144,6 +145,18 @@ def test_import_loads_no_scipy_special_stats_or_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_loads_no_scipy_stats():
+    """The BESQ oracle's KS distance is numpy only: ``run_verify("all")``
+    leaves scipy.stats unloaded, in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from weylgas.runner import run_verify; "
+            "r = run_verify('all'); print(r['passed'], 'scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert proc.stdout.strip() == "True False"
+
+
 def test_worker_count_invariance(small_run, tmp_path):
     """summary.json, events.json and dimension.json are byte-identical for 1
     and 3 workers, and so are the trajectory CSVs of a recorded run."""
@@ -256,12 +269,41 @@ def test_write_json_pinned_text(tmp_path):
     )
 
 
+def test_ks_distance_matches_scipy_statistic():
+    """The oracle's KS distance has the bits of scipy's statistic: unequal
+    sizes, ties, and samples with an atom at 0.  Above 10,000 draws scipy
+    takes its asymptotic mode, as in the oracle; below that it rounds the
+    statistic to a multiple of 1/lcm(n1, n2), so the small samples are
+    compared with method="asymp"."""
+    from scipy.stats import ks_2samp
+    rng = np.random.default_rng(11)
+    atom = besq_exact_transition(BesqSpec(0.0, 0.3), 0.5, 12_345, rng)
+    assert (atom == 0).mean() > 0.5
+    pairs = [
+        (atom, besq_exact_transition(BesqSpec(0.0, 0.35), 0.5, 10_007, rng)),
+        (atom, besq_exact_transition(BesqSpec(1.7, 0.8), 0.5, 20_000, rng)),
+        (np.round(atom, 1), np.round(rng.gamma(0.5, 0.3, 15_001), 1)),  # ties
+        (np.round(rng.normal(size=30_000), 2), np.round(rng.normal(size=11_111), 2)),
+        (np.zeros(10_001), np.zeros(10_002)),
+    ]
+    for a, b in pairs:
+        copies = a.copy(), b.copy()
+        assert runner._ks_distance(a, b) == ks_2samp(a, b).statistic
+        assert runner._ks_distance(b, a) == ks_2samp(b, a).statistic
+        assert np.array_equal(a, copies[0]) and np.array_equal(b, copies[1])
+    for na, nb in [(7, 11), (300, 451)]:
+        a, b = rng.normal(size=na), np.round(rng.normal(size=nb), 1)
+        assert runner._ks_distance(a, b) == ks_2samp(a, b, method="asymp").statistic
+
+
 def test_run_verify_sections():
     report = run_verify("algebra")
     assert report["passed"]
     assert report["sections"]["algebra"]["failures"] == []
     report = run_verify("drift")
     assert report["passed"]
+    report = run_verify("oracle")  # default seed
+    assert report["passed"], report["sections"]["oracle"]["failures"]
     with pytest.raises(ValueError):
         run_verify("nope")
 
