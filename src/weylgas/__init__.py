@@ -35,6 +35,5 @@ from .roots import (ChamberLocation, RootSystem, WeightedProjectionSet,
 from .rng import derive_key, trajectory_generator
 from .runner import (reanalyze_dimension, rerun_from_manifest, run_simulate,
                      run_sweep, run_verify)
-from .sympoly import (SymValueTable, elementary, elementary_excluding,
-                      elementary_rows, residual_e_form2,
-                      residual_reflection_identities)
+from .sympoly import (elementary, elementary_excluding, elementary_rows,
+                      residual_e_form2, residual_reflection_identities)

@@ -105,8 +105,8 @@ def verify(scope, report):
               help="Comma-separated list of box scales.")
 def dimension(run_dir, eps, scales):
     """Re-analyze the persisted events of RUN_DIR at new eps/scales."""
-    scale_list = [float(s) for s in scales.split(",")] if scales else None
     try:
+        scale_list = [float(s) for s in scales.split(",")] if scales else None
         result = reanalyze_dimension(run_dir, eps=eps, scales=scale_list)
     except (ValueError, FileNotFoundError) as exc:
         click.echo(str(exc), err=True)

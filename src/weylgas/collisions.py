@@ -231,41 +231,31 @@ def dyadic_scales(T: float, n_scales: int, j_min: int = 2) -> list[float]:
     return [T / 2**j for j in range(j_min, j_min + n_scales)]
 
 
-def _merge_intervals(intervals: Sequence[tuple[float, float]]):
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
-    merged = []
-    for a, b in ivs:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
-
-
 def box_counts(intervals: Sequence[tuple[float, float]],
-               scales: Sequence[float],
-               T: Optional[float] = None) -> dict[float, int]:
+               scales: Sequence[float], T: Optional[float] = None,
+               path: Optional[Sequence[int]] = None) -> dict[float, int]:
     """Occupied-box counts of a union of intervals at each scale.
 
     When ``T`` is given the boxes tile [0, T) and the endpoint T falls in
-    the last box rather than opening a new one.
+    the last box rather than opening a new one.  ``path`` gives each
+    interval's path index (default: one path); paths never share a box, so
+    the count is the sum of the per-path counts.
     """
-    merged = _merge_intervals(intervals)
+    iv = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    path = np.zeros(len(iv), np.int64) if path is None else np.asarray(path, np.int64)
     counts = {}
     for delta in scales:
-        cap = int(np.ceil(T / delta)) - 1 if T else None
-        n = 0
-        last = -1
-        for a, b in merged:
-            lo, hi = int(a // delta), int(b // delta)
-            if cap is not None:
-                hi = min(hi, cap)
-            if lo <= last:
-                lo = last + 1
-            if hi >= lo:
-                n += hi - lo + 1
-                last = hi
-        counts[float(delta)] = n
+        lo = np.floor_divide(iv[:, 0], delta).astype(np.int64)
+        hi = np.floor_divide(iv[:, 1], delta).astype(np.int64)
+        if T:
+            np.minimum(hi, int(np.ceil(T / delta)) - 1, out=hi)
+        # paths get disjoint box ranges; taken in order of lo, a range adds
+        # its boxes above every earlier hi (none when hi < lo, past T)
+        shift = path * (hi.max(initial=0) - lo.min(initial=0) + 1)
+        order = np.argsort(lo + shift, kind="stable")
+        lo, hi = (lo + shift)[order], (hi + shift)[order]
+        seen = np.maximum.accumulate(np.concatenate([lo[:1] - 1, hi[:-1]]))
+        counts[float(delta)] = int(np.maximum(hi - np.maximum(lo - 1, seen), 0).sum())
     return counts
 
 
@@ -330,6 +320,14 @@ def time_change_theta(traj: TrajectoryRecord, model: CoefficientModel,
 
 
 _FLUSH_ROWS = 4096  # buffered accepted rows that trigger a flush
+
+
+def path_event_rates(order1: np.ndarray, order2: np.ndarray) -> dict:
+    """Fractions of paths with an order-1 event, an order->=2 event, and any
+    event, from the per-path event counts."""
+    return {"order1": float(np.mean(order1 > 0)),
+            "order2": float(np.mean(order2 > 0)),
+            "any": float(np.mean((order1 + order2) > 0))}
 
 
 class EnsembleCollector:
@@ -487,13 +485,12 @@ class EnsembleCollector:
 
     def event_rates(self, eps: float) -> tuple[float, float]:
         """(order-1 rate, order->=2 rate): fraction of paths with any event."""
-        r1 = float(np.mean(self.events_order1[eps] > 0))
-        r2 = float(np.mean(self.events_order2[eps] > 0))
-        return r1, r2
+        rates = path_event_rates(self.events_order1[eps], self.events_order2[eps])
+        return rates["order1"], rates["order2"]
 
     def any_event_rate(self, eps: float) -> float:
-        both = self.events_order1[eps] + self.events_order2[eps]
-        return float(np.mean(both > 0))
+        return path_event_rates(self.events_order1[eps],
+                                self.events_order2[eps])["any"]
 
     def pooled_counts(self) -> dict[float, int]:
         """Summed per-path box counts at each scale (N_total ~ delta^-d)."""

@@ -19,8 +19,8 @@ import numpy as np
 
 from .models import CoefficientModel
 from .rng import trajectory_generator
-from .roots import RootSystem
-from .sympoly import SymValueTable
+from .roots import RootSystem, resolve_weights
+from .sympoly import exclusion_rows
 
 _NOISE_BLOCK = 2048
 
@@ -349,12 +349,23 @@ def simulate_trajectory(model: CoefficientModel, R: RootSystem,
 # ---------------------------------------------------------------------------
 
 
-def _star_tables(x: np.ndarray, R: RootSystem, w: np.ndarray):
-    """Weight-normalized roots, projections, and squared projections."""
-    pm = R.positive_matrix
-    star = pm / w[:, None]  # (M, N) rows alpha* = alpha / w_alpha
-    sproj = star @ x  # <x, alpha*>
-    return star, sproj, sproj**2
+def _drift_tables(x, model: CoefficientModel, R: RootSystem, w, n: int):
+    """Shared argument check and tables of the drift diagnostics: alpha* =
+    alpha / w_alpha (rows of ``star``), <x, alpha*>, ``exclusion_rows`` of
+    their squares, sigma^2, b and the couplings at x, the Gram matrix
+    <alpha*, beta*>, and the weights 2 <sigma^2, a* b*> <x, a*> <x, b*>."""
+    x = np.asarray(x, dtype=float)
+    if not 1 <= n <= R.M:
+        raise ValueError(f"degree n={n} out of range [1, {R.M}]")
+    if np.min(R.positive_matrix @ x) <= 0:
+        raise ValueError("drift diagnostics require an interior state")
+    star = R.positive_matrix / resolve_weights(R, w)[:, None]
+    sproj = star @ x
+    full, one, two = exclusion_rows(sproj**2, n)
+    sig2 = model.sigma(x) ** 2
+    pair = 2.0 * ((star[:, None] * star) @ sig2) * sproj[:, None] * sproj
+    return (star, sproj, full, one, two, sig2, model.drift_b(x),
+            model.coupling_values(x, R), star @ star.T, pair)
 
 
 def e_poly_drift(x: Sequence[float], model: CoefficientModel, R: RootSystem,
@@ -365,37 +376,14 @@ def e_poly_drift(x: Sequence[float], model: CoefficientModel, R: RootSystem,
     decomposition: background drift, coupling double sum, diagonal and
     off-diagonal diffusion terms.  Requires an interior state.
     """
-    from .roots import resolve_weights
-
-    x = np.asarray(x, dtype=float)
-    w = resolve_weights(R, w)
-    M = R.M
-    if not 1 <= n <= M:
-        raise ValueError(f"degree n={n} out of range [1, {M}]")
-    star, sproj, sq = _star_tables(x, R, w)
-    if np.min(R.positive_matrix @ x) <= 0:
-        raise ValueError("drift diagnostics require an interior state")
-    tab = SymValueTable(tuple(sq))
-    e1 = np.array([tab.e(n - 1, (a,)) for a in range(M)])
-
-    bvals = model.drift_b(x)
-    sig2 = model.sigma(x) ** 2
-    kvals = model.coupling_values(x, R)
-
+    star, sproj, _, one, two, sig2, bvals, kvals, gram, pair = _drift_tables(
+        x, model, R, w, n)
+    e1 = one[:, n]  # e_{n-1} without alpha_a
+    off = ~np.eye(R.M, dtype=bool)
     term_b = 2.0 * float(bvals @ (star.T @ (sproj * e1)))
-    gram = star @ star.T  # <alpha*, beta*>
     term_k = 2.0 * float(np.sum(gram * np.outer(sproj * e1, kvals / sproj)))
     term_diag = float(sig2 @ (star.T**2 @ e1))
-    term_off = 0.0
-    for a in range(M):
-        for b in range(M):
-            if a == b:
-                continue
-            e2 = tab.e(n - 2, (a, b))
-            term_off += (
-                2.0 * float(sig2 @ (star[a] * star[b]))
-                * sproj[a] * sproj[b] * e2
-            )
+    term_off = float(np.sum((pair * two[..., n - 1])[off]))
     return term_b + term_k + term_diag + term_off
 
 
@@ -407,53 +395,20 @@ def log_e_drift_components(x: Sequence[float], model: CoefficientModel,
     drift of the log-polynomial semi-martingale.  Requires e_n(x) > 0 and
     an interior state.
     """
-    from .roots import resolve_weights
-
-    x = np.asarray(x, dtype=float)
-    w = resolve_weights(R, w)
-    M = R.M
-    if not 1 <= n <= M:
-        raise ValueError(f"degree n={n} out of range [1, {M}]")
-    if np.min(R.positive_matrix @ x) <= 0:
-        raise ValueError("drift diagnostics require an interior state")
-    star, sproj, sq = _star_tables(x, R, w)
-    tab = SymValueTable(tuple(sq))
-    en = tab.e(n)
+    star, sproj, full, one, two, sig2, bvals, kvals, gram, pair = _drift_tables(
+        x, model, R, w, n)
+    en = full[n + 1]
     if en <= 0:
         raise ValueError("e_n vanishes at this state")
-    e1 = np.array([tab.e(n - 1, (a,)) for a in range(M)])
-    ea_n = np.array([tab.e(n, (a,)) for a in range(M)])
-
-    sig2 = model.sigma(x) ** 2
-    bvals = model.drift_b(x)
-    kvals = model.coupling_values(x, R)
-    gram = star @ star.T
-    norm2_star = (star**2).sum(axis=1)
-
-    A1 = float(
-        np.sum((sig2 @ star.T**2) * (sq * e1 - ea_n) * e1)
-    ) / en**2
-
-    A2 = 0.0
-    A3 = 0.0
-    A6 = 0.0
-    for a in range(M):
-        for b in range(M):
-            if a == b:
-                continue
-            sig_ab = float(sig2 @ (star[a] * star[b]))
-            e_ab_1 = tab.e(n - 1, (a, b))
-            e_ab_2 = tab.e(n - 2, (a, b))
-            e_ab_0 = tab.e(n, (a, b))
-            A2 += 2.0 * sig_ab * sproj[a] * sproj[b] * e_ab_1**2
-            A3 -= 2.0 * sig_ab * sproj[a] * sproj[b] * e_ab_0 * e_ab_2
-            A6 -= 2.0 * gram[a, b] * sproj[a] / sproj[b] * e1[a] * kvals[b]
-    A2 /= en**2
-    A3 /= en**2
-    A6 /= en
-
+    e1, ea_n = one[:, n], one[:, n + 1]  # e_{n-1}, e_n without alpha_a
+    off = ~np.eye(R.M, dtype=bool)
+    A1 = float(np.sum((sig2 @ star.T**2) * (sproj**2 * e1 - ea_n) * e1)) / en**2
+    A2 = float(np.sum((pair * two[..., n] ** 2)[off])) / en**2
+    A3 = -float(np.sum((pair * two[..., n + 1] * two[..., n - 1])[off])) / en**2
+    A6 = -float(np.sum((2.0 * gram * sproj[:, None] / sproj * e1[:, None]
+                        * kvals)[off])) / en
     A4 = -2.0 * float(bvals @ (star.T @ (sproj * e1))) / en
-    A5 = -2.0 * float(np.sum(norm2_star * e1 * kvals)) / en
+    A5 = -2.0 * float(np.sum((star**2).sum(axis=1) * e1 * kvals)) / en
     return np.array([A1, A2, A3, A4, A5, A6])
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .besq import BesqSpec, besq_exact_transition, besq_hit_probability
-from .collisions import EnsembleCollector, fit_box_dimension
+from .collisions import (EnsembleCollector, box_counts, fit_box_dimension,
+                         path_event_rates)
 from .config import ConfigError, RunConfig, parse_config
 from .engine import (e_poly_drift, log_e_drift_components, mc_drift_estimate,
                      simulate_ensemble)
@@ -66,14 +67,6 @@ def _flat_intervals(per_path: list) -> dict:
     flat = np.array([iv for ivs in per_path for iv in ivs], dtype=float).reshape(-1, 2)
     offsets = np.cumsum([0] + [len(ivs) for ivs in per_path])
     return {"t_in": flat[:, 0], "t_out": flat[:, 1], "offsets": offsets}
-
-
-def _path_intervals(per: dict) -> list:
-    """Per-path interval lists of one eps of events.json, either layout."""
-    if "intervals" in per:  # nested: one [t_in, t_out] list per interval
-        return per["intervals"]
-    off, t_in, t_out = per["offsets"], per["t_in"], per["t_out"]
-    return [list(zip(t_in[a:b], t_out[a:b])) for a, b in zip(off[:-1], off[1:])]
 
 
 def config_digest(doc: dict) -> str:
@@ -165,14 +158,9 @@ def _summarize(cfg: RunConfig, merged: dict) -> dict:
                                  n_samples=cfg.ensemble)
     bounds = dimension_bound_predictor(model, R)
     P = cfg.ensemble
-    event_rates = {}
-    for eps in cfg.eps_grid:
-        n1, n2 = merged["order1"][eps], merged["order2"][eps]
-        event_rates[f"{eps:g}"] = {
-            "order1": float(np.mean(n1 > 0)),
-            "order2": float(np.mean(n2 > 0)),
-            "any": float(np.mean((n1 + n2) > 0)),
-        }
+    event_rates = {f"{eps:g}": path_event_rates(merged["order1"][eps],
+                                                merged["order2"][eps])
+                   for eps in cfg.eps_grid}
     return {
         "schema_version": 1,
         "config_digest": config_digest(cfg.raw),
@@ -316,16 +304,19 @@ def reanalyze_dimension(run_dir, eps=None, scales=None) -> dict:
         raise ValueError(
             f"eps {key} was not recorded; available: {sorted(available)}")
     scales = sorted(float(s) for s in (scales or cfg.scale_list()))
-    dropped = events["per_eps"][key].get("dropped_intervals", 0)
+    if not all(s > 0 for s in scales):
+        raise ValueError(f"box scales must be positive; got {scales}")
+    per = events["per_eps"][key]
+    dropped = per.get("dropped_intervals", 0)
     if dropped:
         warnings.warn(f"{dropped} intervals at eps {key} were dropped at the "
                       "per-path limit; the box counts miss them", RuntimeWarning)
 
-    from .collisions import box_counts
-    total = {s: 0 for s in scales}
-    for path_intervals in _path_intervals(events["per_eps"][key]):
-        for s, n in box_counts(path_intervals, scales, cfg.T).items():
-            total[s] += n
+    if "intervals" in per:  # the earlier nested layout: one list per path
+        per = _flat_intervals(per["intervals"])
+    path = np.repeat(np.arange(len(per["offsets"]) - 1), np.diff(per["offsets"]))
+    total = box_counts(np.column_stack([per["t_in"], per["t_out"]]), scales,
+                       cfg.T, path)
     estimate = fit_box_dimension(total, cfg.T, n_samples=cfg.ensemble)
     result = {
         "eps": float(key),

@@ -4,7 +4,8 @@ algebraic identities relating them across reflections.
 All routines accept ints, Fractions, or floats and stay exact for exact
 inputs; ``elementary`` uses the stable prefix recurrence (O(M*n)) rather
 than subset enumeration.  ``elementary_rows`` runs the same recurrence on
-float arrays, one numpy operation per (value, degree) step over all rows.
+float arrays, one numpy operation per (value, degree) step over all rows;
+``exclusion_rows`` runs it on every one- and two-entry exclusion at once.
 """
 
 from __future__ import annotations
@@ -76,26 +77,22 @@ def elementary_excluding(values: Sequence, n: int, excluded: Sequence[int] = ())
     return elementary(rest, n)
 
 
-class SymValueTable:
-    """Cached e_n and exclusion values over a fixed base list.
+def exclusion_rows(values, n: int):
+    """e_{-1}..e_n of a nonnegative float vector ``values`` of length M:
+    of all of it, shape (n + 2,); with entry a left out, shape (M, n + 2);
+    with entries a and b left out, shape (M, M, n + 2), whose diagonal
+    a = b is the one-entry table.  Index j + 1 holds e_j.
 
-    The base values are typically the squared weighted projections of a
-    configuration; the cache is keyed by (n, excluded index set) with at
-    most 3 exclusions.
+    A left-out entry is set to zero, which gives exactly the bits of
+    ``elementary_excluding``: the recurrence step of a zero adds +0.0.
     """
-
-    def __init__(self, base_values: Sequence):
-        self.base_values = tuple(base_values)
-        self.M = len(self.base_values)
-        self._cache: dict[tuple[int, frozenset[int]], object] = {}
-
-    def e(self, n: int, excluded: Sequence[int] = ()):
-        key = (n, frozenset(excluded))
-        if len(key[1]) > 3:
-            raise ValueError("at most 3 excluded indices are supported")
-        if key not in self._cache:
-            self._cache[key] = elementary_excluding(self.base_values, n, tuple(key[1]))
-        return self._cache[key]
+    v = np.asarray(values, dtype=float)
+    keep = 1.0 - np.eye(v.size)
+    full, two = (np.concatenate([np.zeros(t.shape[:-1] + (1,)),
+                                 elementary_rows(t, n)], axis=-1)
+                 for t in (v, v * keep[:, None] * keep))
+    i = np.arange(v.size)
+    return full, two[i, i], two
 
 
 def residual_e_form2(values: Sequence, n: int, i: int, j: int):
@@ -109,12 +106,13 @@ def residual_e_form2(values: Sequence, n: int, i: int, j: int):
         raise ValueError(f"degree n={n} out of range [1, {M}]")
     if i == j:
         raise ValueError("excluded indices must differ")
-    t = SymValueTable(values)
-    lhs = t.e(n - 2, (i, j)) * t.e(n)
+    e_ij = elementary_excluding(values, n - 2, (i, j))
+    lhs = e_ij * elementary(values, n)
     rhs = (
-        t.e(n - 1, (i,)) * t.e(n - 1, (j,))
-        + t.e(n, (i, j)) * t.e(n - 2, (i, j))
-        - t.e(n - 1, (i, j)) ** 2
+        elementary_excluding(values, n - 1, (i,))
+        * elementary_excluding(values, n - 1, (j,))
+        + elementary_excluding(values, n, (i, j)) * e_ij
+        - elementary_excluding(values, n - 1, (i, j)) ** 2
     )
     return lhs - rhs
 

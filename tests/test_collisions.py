@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylgas.collisions as collisions
 from weylgas.collisions import (CollisionEvent, EnsembleCollector,
@@ -200,6 +202,55 @@ def test_box_counts_merges_overlaps():
     # a shared endpoint is counted once, not twice
     counts = box_counts([(0.0, 0.25), (0.25, 0.4)], [0.5], T=1.0)
     assert counts[0.5] == 1
+
+
+def _loop_box_counts(intervals, scales, T=None):
+    """The earlier one-path box count: merge the sorted intervals, then walk
+    them per scale, skipping boxes an earlier interval occupied."""
+    merged = []
+    for a, b in sorted((float(a), float(b)) for a, b in intervals):
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    counts = {}
+    for delta in scales:
+        cap = int(np.ceil(T / delta)) - 1 if T else None
+        n, last = 0, -1
+        for a, b in merged:
+            lo, hi = int(a // delta), int(b // delta)
+            if cap is not None:
+                hi = min(hi, cap)
+            if lo <= last:
+                lo = last + 1
+            if hi >= lo:
+                n += hi - lo + 1
+                last = hi
+        counts[float(delta)] = n
+    return counts
+
+
+# endpoints on a coarse grid, so intervals tie, touch and nest, and some
+# lie past the horizon T = 1
+_ENDS = st.integers(0, 48).map(lambda i: i / 40)
+_INTERVAL = st.tuples(_ENDS, _ENDS).map(sorted).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(paths=st.lists(st.lists(_INTERVAL, max_size=8), max_size=5),
+       scales=st.lists(st.sampled_from([0.5, 0.3, 0.25, 0.1, 1 / 16, 0.02]),
+                       min_size=1, max_size=4, unique=True),
+       T=st.sampled_from([None, 1.0, 0.9]))
+def test_box_counts_pooled_equals_sum_of_path_loops(paths, scales, T):
+    """One vectorized count over all paths equals the sum of the per-path
+    counts of the earlier merge-and-walk loop."""
+    flat = [iv for ivs in paths for iv in ivs]
+    path = [p for p, ivs in enumerate(paths) for _ in ivs]
+    expect = {float(d): sum(_loop_box_counts(ivs, scales, T)[float(d)] for ivs in paths)
+              for d in scales}
+    assert box_counts(flat, scales, T, path) == expect
+    if len(paths) == 1:
+        assert box_counts(flat, scales, T) == _loop_box_counts(flat, scales, T)
 
 
 def test_dimension_point_is_zero():

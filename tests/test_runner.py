@@ -308,6 +308,15 @@ def test_run_verify_sections():
         run_verify("nope")
 
 
+def test_verify_report_drift_checks_share_one_passed_type(tmp_path):
+    """Every drift check writes its ``passed`` with the same JSON type,
+    whatever the number of roots of its case."""
+    write_json(tmp_path / "report.json", run_verify("drift"))
+    checks = json.loads((tmp_path / "report.json").read_text())["sections"]["drift"]["checks"]
+    assert {c["preset"] for c in checks} == {"dyson", "bessel_b"}
+    assert len({type(c["passed"]) for c in checks}) == 1
+
+
 # ---------------------------------------------------------------------------
 # command line interface
 # ---------------------------------------------------------------------------
@@ -333,6 +342,17 @@ def test_cli_simulate_and_dimension(tmp_path):
     res = runner.invoke(main, ["dimension", str(out), "--eps", "0.01"])
     assert res.exit_code == 0, res.output
     assert "slope" in res.output
+
+
+def test_cli_dimension_rejects_bad_scales(small_run):
+    """A zero, negative or unparsable box scale is a configuration error
+    (exit code 2), not a traceback or a silent result."""
+    out, _ = small_run
+    for scales in ("0,0.1", "-0.1", "0.1,x"):
+        res = CliRunner().invoke(main, ["dimension", str(out), "--scales", scales])
+        assert res.exit_code == 2, (scales, res.output)
+    with pytest.raises(ValueError, match="positive"):
+        reanalyze_dimension(out, scales=[0.1, -0.05])
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylgas.roots import build_root_system
-from weylgas.sympoly import (SymValueTable, elementary, elementary_excluding,
-                             elementary_rows, residual_e_form2,
+from weylgas.sympoly import (elementary, elementary_excluding, elementary_rows,
+                             exclusion_rows, residual_e_form2,
                              residual_reflection_identities)
 
 
@@ -82,13 +82,34 @@ def test_excluding():
         elementary_excluding(v, 1, (9,))
 
 
-def test_value_table_caches():
-    t = SymValueTable([3, 1, 4, 1])
-    assert t.e(2) == elementary([3, 1, 4, 1], 2)
-    assert t.e(1, (0, 2)) == 2
-    assert t.e(2, (2, 0)) == t.e(2, (0, 2))  # order-insensitive key
-    with pytest.raises(ValueError):
-        t.e(1, (0, 1, 2, 3))
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("family,N", [("A", 3), ("B", 3), ("D", 4)])
+def test_exclusion_rows_bit_equal_to_elementary_excluding(family, N):
+    """Every entry of the exclusion tables has the bits of the exact
+    reference on the squared projections of a float state."""
+    R = build_root_system(family, N)
+    M = R.M
+    x = np.random.default_rng(5).standard_normal(N) * 1.7
+    sq = (R.positive_matrix @ x) ** 2
+    for n in (1, 2, M):
+        full, one, two = exclusion_rows(sq, n)
+        assert full.shape == (n + 2,) and one.shape == (M, n + 2)
+        assert two.shape == (M, M, n + 2)
+        for j in range(-1, n + 1):
+            assert full[j + 1].tobytes() == _bits(elementary(list(sq), j))
+            for a in range(M):
+                assert one[a, j + 1].tobytes() == _bits(
+                    elementary_excluding(list(sq), j, (a,)))
+                for b in range(M):
+                    if b != a:
+                        assert two[a, b, j + 1].tobytes() == _bits(
+                            elementary_excluding(list(sq), j, (a, b)))
+        assert not full[0] and not one[:, 0].any() and not two[..., 0].any()  # e_{-1}
+        if n == M:  # e_M without two entries is an empty sum
+            assert not two[~np.eye(M, dtype=bool)][:, n + 1].any()
 
 
 @settings(max_examples=200, deadline=None)
