@@ -83,10 +83,8 @@ class RunConfig:
     def root_system(self) -> RootSystem:
         return build_root_system(self.family, self.N)
 
-    def model(self, overrides: Optional[dict] = None) -> CoefficientModel:
+    def model(self) -> CoefficientModel:
         params = dict(self.params)
-        if overrides:
-            params.update(overrides)
         if self.preset == "jacobi":
             params.setdefault("N", self.N)
         return make_preset(self.preset, **params)
@@ -208,10 +206,10 @@ def parse_config(doc: dict) -> RunConfig:
     try:
         R = cfg.root_system()
         x0_arr = cfg.x0_array(R)
-        if cfg.x0_mode == "explicit":
+        if cfg.x0_mode in ("explicit", "boundary"):
             loc = chamber_classify(x0_arr, R, tol=0.0)
             if loc.region == "outside":
-                late.append("explicit x0 lies outside the closed Weyl chamber")
+                late.append(f"{cfg.x0_mode} x0 lies outside the closed Weyl chamber")
         if cfg.preset == "jacobi" and np.any(np.abs(x0_arr) >= 1.0):
             late.append("jacobi x0 coordinates must lie in (-1, 1)")
         cfg.model()

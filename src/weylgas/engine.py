@@ -27,29 +27,23 @@ _NOISE_BLOCK = 2048
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Adaptive step-size and wall-handling policy.
+    """Adaptive step-size policy with one wall rule.
 
-    dt = clamp(safety * (min_alpha <x,alpha>^2)^gap_exponent, dt_min, dt_max),
-    halved (with fresh noise) after each rejected proposal.  ``wall_mode``
-    is "reject" (reject-and-halve) or "project" (shrink the displacement
-    until the proposal sits just inside the chamber).
+    dt = clamp(safety * min_alpha <x,alpha>^2, dt_min, dt_max), halved
+    (with fresh noise) on each proposal that leaves the open chamber; a
+    path is stuck after ``max_rejects`` consecutive halvings and exploded
+    once |x| exceeds ``explosion_radius``.
     """
 
     dt_max: float = 1e-3
     dt_min: float = 1e-9
     safety: float = 0.1
-    gap_exponent: float = 1.0
-    wall_mode: str = "reject"
-    wall_tol: float = 0.0
-    entry_eps: float = 1e-8
     explosion_radius: float = 1e6
     max_rejects: int = 60
 
     def __post_init__(self):
         if self.dt_min <= 0 or self.dt_max < self.dt_min:
             raise ValueError("need 0 < dt_min <= dt_max")
-        if self.wall_mode not in ("reject", "project"):
-            raise ValueError("wall_mode must be 'reject' or 'project'")
 
 
 @dataclass
@@ -79,56 +73,43 @@ class EnsembleResult:
     records: Optional[list] = None
 
 
-def _repulsive_drift(states: np.ndarray, proj: np.ndarray,
-                     kvals: np.ndarray, pm: np.ndarray) -> np.ndarray:
+def _repulsive_drift(proj: np.ndarray, kvals: np.ndarray,
+                     pm: np.ndarray) -> np.ndarray:
     """sum_alpha k_alpha(x) * alpha / <x,alpha> for a batch of states."""
     return (kvals / proj) @ pm
 
 
 def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
              proj: np.ndarray, dt: np.ndarray, noise: np.ndarray,
-             wall_tol: float = 0.0, project: bool = False, unit_k=None):
+             unit_k=None):
     """Euler-Maruyama proposals from interior states ``xs`` (n, N) with
     projections ``proj``, step sizes ``dt`` (n,) and normals ``noise``.
 
     Returns (proposals, their projections, each row's smallest projection,
     mask of those inside), the mask being None when every row is inside
-    (a NaN row is not).  With ``project``, an outside proposal's
-    displacement is first shrunk so its smallest projection stays at a
-    small fraction of the pre-step value.  Given ``unit_k``, the model's
+    (a NaN row is not).  Given ``unit_k``, the model's
     ``unit_constants(R)``, sigma = 1 and b = 0 are not evaluated: same bits.
     """
     pm = R.positive_matrix
     dtc = dt[:, None]
     if unit_k is not None:
-        disp = np.sqrt(dtc) * noise + _repulsive_drift(xs, proj, unit_k, pm) * dtc
+        disp = np.sqrt(dtc) * noise + _repulsive_drift(proj, unit_k, pm) * dtc
     else:
         disp = (
             model.sigma(xs) * np.sqrt(dtc) * noise
             + model.drift_b(xs) * dtc
-            + _repulsive_drift(xs, proj, model.coupling_values(xs, R), pm) * dtc
+            + _repulsive_drift(proj, model.coupling_values(xs, R), pm) * dtc
         )
     prop = xs + disp
     prop_proj = prop @ pm.T
     # ufunc reductions: ndarray.min adds a Python-level wrapper to each call
     prop_min = np.minimum.reduce(prop_proj, axis=1)
-    inside = np.minimum.reduce(prop_min) > wall_tol  # False on NaN
-    if project and not inside:
-        bad = np.flatnonzero(~(prop_min > wall_tol))
-        dproj = disp[bad] @ pm.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(dproj < 0, (0.05 * proj[bad] - proj[bad]) / dproj, np.inf)
-        lam = np.minimum(np.maximum(np.minimum.reduce(lam, axis=1), 0.0), 1.0)
-        prop[bad] = xs[bad] + lam[:, None] * disp[bad]
-        prop_proj[bad] = prop[bad] @ pm.T
-        prop_min = np.minimum.reduce(prop_proj, axis=1)
-        inside = np.minimum.reduce(prop_min) > wall_tol
-    return prop, prop_proj, prop_min, None if inside else prop_min > wall_tol
+    inside = np.minimum.reduce(prop_min) > 0.0  # False on NaN
+    return prop, prop_proj, prop_min, None if inside else prop_min > 0.0
 
 
 def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
-                 dt: float, noise: Sequence[float],
-                 wall_tol: float = 0.0) -> Optional[np.ndarray]:
+                 dt: float, noise: Sequence[float]) -> Optional[np.ndarray]:
     """One explicit Euler-Maruyama proposal from an interior state.
 
     Returns the new configuration, or None when the proposal leaves the
@@ -136,8 +117,7 @@ def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
     Raises on a vanishing projection with positive coupling, where the
     drift is singular; boundary starts must use the entry push instead.
     The increment is summed first and then added to x, the same rounding
-    as ``simulate_ensemble``; the earlier ``((x + a) + b) + c`` order of
-    this function can differ from it by 1 ulp.
+    as ``simulate_ensemble``.
     """
     xs = np.asarray(x, dtype=float)[None, :]
     if dt <= 0:
@@ -148,7 +128,7 @@ def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
             "singular drift: vanishing projection with positive coupling"
         )
     prop, _, _, ok = _propose(model, R, xs, proj, np.array([float(dt)]),
-                              np.asarray(noise, dtype=float)[None, :], wall_tol)
+                              np.asarray(noise, dtype=float)[None, :])
     return prop[0] if ok is None else None
 
 
@@ -170,7 +150,7 @@ def boundary_entry_push(x: Sequence[float], model: CoefficientModel,
     for _ in range(max_tries):
         proj = np.maximum(pm @ x, entry_eps)
         kvals = model.coupling_values(x, R)
-        cand = x + _repulsive_drift(x, proj, kvals, pm) * dt0
+        cand = x + _repulsive_drift(proj, kvals, pm) * dt0
         if np.min(pm @ cand) > 0:
             return cand
         dt0 *= 2.0
@@ -186,9 +166,9 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
 
     ``x0`` is one configuration shared by all paths or an (n_paths, N)
     array.  ``collector``, if given, receives per-iteration batches via
-    ``collector.update(t_new, proj_new, accepted)`` with the projection
-    matrix of accepted states; use it for streaming analytics when full
-    records would not fit in memory.
+    ``collector.update(t_new, proj_new, paths)`` with the times, projection
+    matrix and path indices of the accepted states; use it for streaming
+    analytics when full records would not fit in memory.
     """
     pm = R.positive_matrix
     P, N = n_paths, R.N
@@ -200,7 +180,7 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     # boundary starts get the deterministic entry push at t = 0
     start_proj = states @ pm.T
     for p in np.flatnonzero(start_proj.min(axis=1) <= 0):
-        states[p] = boundary_entry_push(states[p], model, R, policy.entry_eps)
+        states[p] = boundary_entry_push(states[p], model, R)
 
     gens = [trajectory_generator(master_seed, base_index + p, *seed_extra) for p in range(P)]
     blocks = np.empty((P, _NOISE_BLOCK, N))
@@ -227,7 +207,6 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     stuck_scale = 0.5 ** policy.max_rejects
     t_done = horizon * (1.0 - 1e-12)
     unit_k = model.unit_constants(R)  # None unless sigma = 1, b = 0, constant k
-    project = policy.wall_mode == "project"
     it = 0  # iterations so far = proposals made by every running lane
     # all_ok: the last iteration accepted every lane, so every scale is 1;
     # tmax >= max(tl), exact since dt <= dt_max and rounding is monotone
@@ -242,7 +221,7 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         noise = blocks[g, row]
 
         # clamps that cannot change dt are skipped: dt <= dt_max <= horizon - tl
-        dt = pmin**2 if policy.gap_exponent == 1.0 else (pmin**2)**policy.gap_exponent
+        dt = pmin**2
         dt *= policy.safety
         np.minimum(np.maximum(dt, policy.dt_min, out=dt), policy.dt_max, out=dt)
         if not all_ok:
@@ -250,7 +229,7 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         if horizon - tmax < policy.dt_max:
             np.minimum(dt, horizon - tl, out=dt)
         prop, prop_proj, prop_min, ok = _propose(
-            model, R, x, proj, dt, noise, policy.wall_tol, project, unit_k)
+            model, R, x, proj, dt, noise, unit_k)
         it += 1
         tmax += policy.dt_max
         was_ok, all_ok = all_ok, ok is None
@@ -434,7 +413,7 @@ def mc_drift_estimate(x: Sequence[float], model: CoefficientModel,
     rng = np.random.default_rng(seed)
     proj = pm @ x
     kvals = model.coupling_values(x, R)
-    det = (model.drift_b(x) + _repulsive_drift(x, proj, kvals, pm)) * h
+    det = (model.drift_b(x) + _repulsive_drift(proj, kvals, pm)) * h
     scale = model.sigma(x) * np.sqrt(h)
     f0 = func(x)
     noise = rng.standard_normal((n_samples, x.size))

@@ -108,6 +108,15 @@ def test_explicit_x0_outside_chamber_rejected():
             x0={"mode": "explicit", "values": [3.0, 0.5, -2.0]}))
 
 
+def test_boundary_x0_outside_chamber_rejected():
+    with pytest.raises(ConfigError, match="boundary x0 lies outside"):
+        parse_config(minimal_doc(
+            x0={"mode": "boundary", "values": [3.0, 0.5, -2.0]}))
+    cfg = parse_config(minimal_doc(
+        x0={"mode": "boundary", "values": [0.5, 0.5, 1.0]}))
+    assert cfg.x0_mode == "boundary"
+
+
 def test_jacobi_x0_must_be_inside_unit_interval():
     with pytest.raises(ConfigError, match="\\(-1, 1\\)"):
         parse_config(minimal_doc(
@@ -135,6 +144,15 @@ def test_policy_and_derived_values():
 def test_default_dim_eps_tracks_step_size():
     cfg = parse_config(minimal_doc(policy={"dt_max": 1e-4}))
     assert cfg.resolved_dim_eps() == pytest.approx(0.1 * np.sqrt(1e-4))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("wall_mode", "project"), ("wall_tol", 1e-3),
+    ("gap_exponent", 0.5), ("entry_eps", 1e-6),
+])
+def test_removed_policy_keys_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(minimal_doc(policy={key: value}))
 
 
 def test_policy_dt_ordering_rejected():

@@ -22,8 +22,6 @@ def test_step_policy_validation():
         StepPolicy(dt_min=0.0)
     with pytest.raises(ValueError):
         StepPolicy(dt_min=1e-2, dt_max=1e-3)
-    with pytest.raises(ValueError):
-        StepPolicy(wall_mode="bounce")
 
 
 def test_advance_step_hand_value(dyson2):
@@ -115,12 +113,7 @@ def test_ensemble_chunking_invariance(dyson2):
                           np.vstack([lo.final_states, hi.final_states]))
 
 
-@pytest.mark.parametrize("policy,seed", [
-    (StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5), 1),
-    (StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5,
-                wall_mode="project", wall_tol=1e-3), 3),
-])
-def test_lanes_leaving_mid_run_replay_alone(policy, seed):
+def test_lanes_leaving_mid_run_replay_alone():
     """Paths leave the lock-step loop at different iterations by all three
     routes (horizon, stuck, exploded); every row still matches its own
     record and equals, byte for byte, the same path integrated alone."""
@@ -135,6 +128,7 @@ def test_lanes_leaving_mid_run_replay_alone(policy, seed):
     m = make_preset("custom", sigma=sigma, drift_b=dyson.drift_b,
                     coupling=dyson.coupling)
     x0 = np.array([-0.05, 0.05])
+    policy, seed = StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5), 1
     res = simulate_ensemble(m, R, x0, 0.1, policy, seed, n_paths=8, record=True)
     done = ~res.stuck_flags & ~res.lifetime_flags
     assert res.stuck_flags.any() and res.lifetime_flags.any() and done.any()
@@ -170,11 +164,10 @@ def _reference_ensemble(model, R, x0, horizon, policy, seed, P, collector=None):
         noise = np.array([gens[p].standard_normal(R.N) for p in g])
         proj = x[g] @ pm.T
         gap2 = proj.min(1) ** 2
-        dt = np.minimum(np.maximum(policy.safety * gap2**policy.gap_exponent,
-                                   policy.dt_min), policy.dt_max)
+        dt = np.minimum(np.maximum(policy.safety * gap2, policy.dt_min),
+                        policy.dt_max)
         dt = np.minimum(dt * scale[g], horizon - t[g])
-        prop, prop_proj, _, ok = _propose(model, R, x[g], proj, dt, noise,
-                                          policy.wall_tol, policy.wall_mode == "project")
+        prop, prop_proj, _, ok = _propose(model, R, x[g], proj, dt, noise)
         ok = np.ones(g.size, dtype=bool) if ok is None else ok
         acc, rej = g[ok], g[~ok]
         x[acc], t[acc], scale[acc] = prop[ok], t[acc] + dt[ok], 1.0
@@ -201,14 +194,9 @@ def _a3_collector(P, T):
 @pytest.mark.parametrize("preset,params,family,N,x0,T,policy,seed,P", [
     ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.05, StepPolicy(dt_max=1e-3), 5, 10),
     ("bessel_b", {"k1": 0.5, "k2": 0.6}, "B", 2, [0.05, 0.15], 0.05,
-     StepPolicy(dt_max=1e-3, wall_mode="project", wall_tol=1e-4), 11, 8),
+     StepPolicy(dt_max=1e-3), 11, 8),
     ("dyson", {"k": 0.05}, "A", 2, [-0.05, 0.05], 0.1,
      StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5), 1, 8),
-    ("dyson", {"k": 0.05}, "A", 2, [-0.05, 0.05], 0.1,
-     StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5,
-                wall_mode="project", wall_tol=1e-3), 3, 8),
-    ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.05,
-     StepPolicy(dt_max=1e-3, gap_exponent=0.5), 5, 10),
     ("bessel_general", {"k_values": 0.3}, "A", 3, [-0.1, 0.0, 0.1], 0.05,
      StepPolicy(dt_max=1e-3), 8, 10),
     ("wishart", {"kappa": 1.0, "a": 4.0}, "A", 3, [0.5, 0.55, 0.6], 0.05,
@@ -216,8 +204,8 @@ def _a3_collector(P, T):
     # lanes reach this horizon, off the dt_max grid, at iterations 18-2657
     ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.0123456,
      StepPolicy(dt_max=1e-3), 6, 10),
-], ids=["A3-reject-collector", "B2-project", "three-exits-reject", "three-exits-project",
-        "A3-gap-exponent-0.5", "A3-bessel-general", "A3-wishart", "A3-off-grid-horizon"])
+], ids=["A3-reject-collector", "B2-reject", "three-exits-reject", "A3-bessel-general",
+        "A3-wishart", "A3-off-grid-horizon"])
 def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
                                                policy, seed, P):
     """The engine's loop (carried projections, all-accept fast update, scalar
@@ -251,11 +239,9 @@ def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
         assert sum(map(len, cols[0].intervals[0.05])) > 0
 
 
-@pytest.mark.parametrize("project", [False, True])
-def test_propose_returns_row_minimum_of_projections(project):
-    """The returned minimum is each proposal's smallest projection, also on
-    rows that ``project`` shrank back inside the chamber; the mask is None
-    exactly when every row is inside."""
+def test_propose_returns_row_minimum_of_projections():
+    """The returned minimum is each proposal's smallest projection, and the
+    mask marks the rows inside the chamber."""
     R = build_root_system("B", 2)
     model = make_preset("bessel_b", k1=0.1, k2=0.6)
     rng = np.random.default_rng(4)
@@ -264,22 +250,13 @@ def test_propose_returns_row_minimum_of_projections(project):
     assert np.all(proj.min(1) > 0)
     dt = np.full(64, 1e-3)
     noise = rng.normal(size=(64, 2))
-    prop, prop_proj, prop_min, ok = _propose(model, R, xs, proj, dt, noise, 0.0, project)
+    _, prop_proj, prop_min, ok = _propose(model, R, xs, proj, dt, noise)
     assert prop_min.tobytes() == prop_proj.min(1).tobytes()
-    if ok is None:
-        assert project and np.all(prop_min > 0.0)
-    else:
-        assert np.array_equal(ok, prop_min > 0.0)
-    plain, _, _, plain_ok = _propose(model, R, xs, proj, dt, noise)
-    assert plain_ok is not None and not plain_ok.all()  # some proposals leave
-    if project:
-        shrunk = np.flatnonzero(~plain_ok)
-        assert not np.array_equal(prop[shrunk], plain[shrunk])
-        assert ok is None or ok[shrunk].all()
+    assert ok is not None and not ok.all()  # some proposals leave
+    assert np.array_equal(ok, prop_min > 0.0)
 
 
-@pytest.mark.parametrize("project", [False, True])
-def test_propose_masks_nan_proposals(project):
+def test_propose_masks_nan_proposals():
     """A NaN proposal is outside: the all-inside test fails on it, and the
     mask is built, False on that row only."""
     R = build_root_system("A", 3)
@@ -288,7 +265,7 @@ def test_propose_masks_nan_proposals(project):
     proj = xs @ R.positive_matrix.T
     noise = np.zeros((3, 3))
     noise[1, 0] = np.nan
-    *_, ok = _propose(model, R, xs, proj, np.full(3, 1e-4), noise, 0.0, project,
+    *_, ok = _propose(model, R, xs, proj, np.full(3, 1e-4), noise,
                       model.unit_constants(R))
     assert ok is not None and ok.tolist() == [True, False, True]
     *_, ok = _propose(model, R, xs, proj, np.full(3, 1e-4), np.zeros((3, 3)))
@@ -315,16 +292,6 @@ def test_explosion_flag():
                             StepPolicy(explosion_radius=1e4), 0, n_paths=2)
     assert res.lifetime_flags.all()
     assert np.all(res.final_times < 1.0)
-
-
-def test_project_wall_mode_stays_inside(dyson2):
-    _, R = dyson2
-    m = make_preset("dyson", k=0.05)
-    pol = StepPolicy(wall_mode="project", dt_max=1e-3)
-    rec = simulate_trajectory(m, R, [-0.05, 0.05], 1.0, pol, seed=9)
-    proj = rec.states @ R.positive_matrix.T
-    assert np.all(proj.min(axis=1) > 0)
-    assert rec.rejected_steps == 0
 
 
 def test_adaptive_dt_shrinks_near_wall(dyson2):
