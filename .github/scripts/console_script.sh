@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Exercise the installed `weylgas` console script end to end.
+#   bash .github/scripts/console_script.sh OUT_DIR
+# Runs besq, verify, simulate and dimension, and checks that each invalid
+# config exits with code 2 before any run directory is made.
+set -euo pipefail
+out=$1
+mkdir -p "$out"
+
+weylgas --version
+weylgas besq --delta 1.0 --x0 1.0 --t 1.0
+weylgas verify --scope all --report "$out/verify.json"
+cat > "$out/a2.json" <<'JSON'
+{"family": "A", "N": 2, "preset": "dyson", "k": 0.2, "T": 0.5,
+ "ensemble": 8, "seed": 7, "x0": {"mode": "equispaced", "spacing": 0.4},
+ "policy": {"dt_max": 1e-3}, "eps_grid": [0.1, 0.01]}
+JSON
+weylgas simulate "$out/a2.json" --out "$out/a2_run"
+weylgas dimension "$out/a2_run" --eps 0.01
+code=0
+weylgas dimension "$out/a2_run" --scales 0 || code=$?
+test "$code" -eq 2
+
+# expect_config_error NAME JSON: `weylgas simulate` exits 2 and makes no run directory
+expect_config_error() {
+  echo "$2" > "$out/$1.json"
+  local code=0
+  weylgas simulate "$out/$1.json" --out "$out/$1_run" || code=$?
+  test "$code" -eq 2
+  test ! -e "$out/$1_run"
+}
+expect_config_error project '{"family": "A", "N": 2, "preset": "dyson", "k": 0.2, "T": 0.5,
+  "ensemble": 8, "seed": 7, "policy": {"wall_mode": "project"}}'
+expect_config_error outside '{"family": "A", "N": 3, "preset": "dyson", "k": 0.2, "T": 0.5,
+  "ensemble": 8, "seed": 7, "x0": {"mode": "boundary", "values": [3.0, 0.5, -2.0]}}'
+expect_config_error zero_T '{"family": "A", "N": 2, "preset": "dyson", "k": 0.2, "T": 0,
+  "ensemble": 8, "seed": 7}'
+expect_config_error weights '{"family": "A", "N": 3, "preset": "dyson", "k": 0.2, "T": 0.5,
+  "ensemble": 8, "seed": 7, "weights": [1.0, 2.0]}'

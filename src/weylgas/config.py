@@ -1,25 +1,31 @@
 """Run configuration: JSON schema validation and object construction.
 
-A run config is a plain JSON document (schema shipped as
-``schemas/run_config_v1.json``).  ``load_config`` validates it and reports
-every violation at once, including the numeric constraints the schema
-cannot express (preset parameter presence, family compatibility, the
-Jacobi wall condition).
+A run config is a plain JSON document.  ``load_config`` checks it against
+the shipped ``schemas/run_config_v1.json``, the single source of truth for
+its keys, types and bounds, and reports every violation at once, including
+the constraints the schema cannot express (preset parameter presence,
+family compatibility, the Jacobi wall condition, the weight count).
+
+The schema is read by ``_schema_errors``, a small draft-07 interpreter of
+the keywords the schema uses (``_KEYWORDS``), so validation needs no
+``jsonschema`` at run time; the test suite checks it against
+``jsonschema.Draft7Validator``.  It raises ``NotImplementedError`` on any
+other keyword, so a schema edit cannot drop a rule silently.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Optional
 
-import jsonschema
 import numpy as np
 
 from .engine import StepPolicy
 from .models import CoefficientModel, make_preset
-from .roots import RootSystem, build_root_system, chamber_classify
+from .roots import RootSystem, build_root_system, chamber_classify, resolve_weights
 
 SCHEMA_VERSION = 1
 
@@ -50,6 +56,81 @@ class ConfigError(ValueError):
 def _schema() -> dict:
     text = resources.files("weylgas.schemas").joinpath("run_config_v1.json").read_text()
     return json.loads(text)
+
+
+# draft-07 keywords _schema_errors checks, plus the annotations it skips
+_KEYWORDS = frozenset({
+    "$schema", "$id", "title", "type", "enum", "const", "minimum", "exclusiveMinimum",
+    "required", "properties", "additionalProperties", "items", "minItems", "oneOf"})
+_JSON_TYPES = {"null": type(None), "boolean": bool, "string": str, "object": dict,
+               "array": list}
+
+
+def _is_type(value, name: str) -> bool:
+    """Draft-07 ``type``: a bool is no number, an integral float is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, numbers.Number):
+            return False
+        return name == "number" or isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _equal(a, b) -> bool:
+    """Draft-07 equality of scalars for ``enum`` and ``const``: True is not 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _schema_errors(schema: dict, value, path: str = "") -> list[str]:
+    """Every rule of the draft-07 ``schema`` that ``value`` breaks, as
+    ``"path: message"`` lines (path ``<root>`` for the document itself)."""
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown:
+        raise NotImplementedError(f"schema keywords {unknown} are not handled")
+    errors: list[str] = []
+    where = path or "<root>"
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _is_type(value, "number")
+    for key, rule in schema.items():
+        if key == "type":
+            names = [rule] if isinstance(rule, str) else rule
+            if not any(_is_type(value, n) for n in names):
+                errors.append(f"{where}: {value!r} is not of type {', '.join(map(repr, names))}")
+        elif key == "enum" and not any(_equal(value, v) for v in rule):
+            errors.append(f"{where}: {value!r} is not one of {rule!r}")
+        elif key == "const" and not _equal(value, rule):
+            errors.append(f"{where}: {rule!r} was expected")
+        elif key == "minimum" and is_number and value < rule:
+            errors.append(f"{where}: {value!r} is less than the minimum of {rule!r}")
+        elif key == "exclusiveMinimum" and is_number and value <= rule:
+            errors.append(f"{where}: {value!r} is less than or equal to the minimum of {rule!r}")
+        elif key == "required" and is_object:
+            errors += [f"{where}: {name!r} is a required property"
+                       for name in rule if name not in value]
+        elif key == "properties" and is_object:
+            for name, sub in rule.items():
+                if name in value:
+                    errors += _schema_errors(sub, value[name], f"{path}/{name}".lstrip("/"))
+        elif key == "additionalProperties":
+            if rule is not False:
+                raise NotImplementedError("only additionalProperties: false is handled")
+            extra = sorted(set(value) - set(schema.get("properties", {}))) if is_object else []
+            if extra:
+                errors.append(f"{where}: additional properties are not allowed "
+                              f"({', '.join(map(repr, extra))} unexpected)")
+        elif key == "items" and is_array:
+            for i, item in enumerate(value):
+                errors += _schema_errors(rule, item, f"{path}/{i}".lstrip("/"))
+        elif key == "minItems" and is_array and len(value) < rule:
+            errors.append(f"{where}: {value!r} should have at least {rule} items")
+        elif key == "oneOf":
+            matched = sum(not _schema_errors(sub, value, path) for sub in rule)
+            if matched != 1:
+                errors.append(f"{where}: {value!r} is valid under {matched} of the "
+                              f"{len(rule)} schemas in oneOf, not exactly one")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -121,11 +202,7 @@ class RunConfig:
 
 
 def _collect_violations(doc: dict) -> list[str]:
-    validator = jsonschema.Draft7Validator(_schema())
-    violations = [
-        f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    ]
+    violations = _schema_errors(_schema(), doc)
     if violations:
         return violations
 
@@ -212,6 +289,7 @@ def parse_config(doc: dict) -> RunConfig:
                 late.append(f"{cfg.x0_mode} x0 lies outside the closed Weyl chamber")
         if cfg.preset == "jacobi" and np.any(np.abs(x0_arr) >= 1.0):
             late.append("jacobi x0 coordinates must lie in (-1, 1)")
+        resolve_weights(R, cfg.weights)
         cfg.model()
     except ConfigError:
         raise

@@ -294,7 +294,7 @@ def resolve_weights(R: RootSystem, w) -> np.ndarray:
     """Normalize a weight spec to a positive (M,) array.
 
     ``w`` may be None (unit weights), the string "norm" (w_alpha = |alpha|),
-    a scalar, or a sequence of length M.
+    a scalar or one-element sequence (broadcast), or a sequence of length M.
     """
     if w is None:
         arr = np.ones(R.M)
@@ -303,7 +303,11 @@ def resolve_weights(R: RootSystem, w) -> np.ndarray:
             raise ValueError(f"unknown weight spec {w!r}")
         arr = R.root_norms
     else:
-        arr = np.broadcast_to(np.asarray(w, dtype=float), (R.M,)).copy()
+        arr = np.asarray(w, dtype=float)
+        if arr.shape not in ((), (1,), (R.M,)):
+            raise ValueError(f"weights must be one value or M = {R.M} values, "
+                             f"not an array of shape {arr.shape}")
+        arr = np.broadcast_to(arr, (R.M,)).copy()
     if np.any(arr <= 0):
         raise ValueError("weights must be strictly positive")
     return arr

@@ -83,6 +83,18 @@ def test_hit_probability_closed_form_values():
     assert besq_hit_probability(BesqSpec(0.5, 0.0), 1.0) == 1.0
 
 
+def test_hit_probability_matches_scipy_gammaincc():
+    """The ``math``-only Q(1 - delta/2, x0/2t) agrees with scipy.special on a
+    grid of a = 1 - delta/2 in [0.01, 1] and z = x0/2t in [1e-6, 60], which
+    straddles the series/continued-fraction switch at z = a + 1."""
+    from scipy.special import gammaincc
+
+    for delta in 2.0 - 2.0 * np.linspace(0.01, 1.0, 34):
+        for z in np.geomspace(1e-6, 60.0, 60):
+            p = besq_hit_probability(BesqSpec(delta, 2.0 * z), 1.0)
+            assert p == pytest.approx(gammaincc(1.0 - delta / 2.0, z), rel=1e-12)
+
+
 def test_hit_probability_rejects_polar_regime():
     with pytest.raises(ValueError):
         besq_hit_probability(BesqSpec(2.0, 1.0), 1.0)

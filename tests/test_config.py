@@ -1,9 +1,12 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
+from test_runner import SMALL_DOC
 
-from weylgas.config import ConfigError, load_config, parse_config
+from weylgas.config import (_KEYWORDS, ConfigError, _schema, _schema_errors, load_config,
+                            parse_config)
 
 
 def minimal_doc(**overrides):
@@ -181,3 +184,95 @@ def test_load_config_file_errors(tmp_path):
         load_config(p)
     p.write_text(json.dumps(minimal_doc()))
     assert load_config(p).preset == "dyson"
+
+
+def test_zero_horizon_rejected():
+    """T = 0 fails validation: every box scale T/2^j would be 0."""
+    with pytest.raises(ConfigError, match="^invalid run config:\n  - T: 0 is less"):
+        parse_config(minimal_doc(T=0))
+
+
+def test_weights_length_checked():
+    with pytest.raises(ConfigError, match="M = 3 values"):
+        parse_config(minimal_doc(weights=[1.0, 2.0]))
+    with pytest.raises(ConfigError, match="M = 3 values"):
+        parse_config(minimal_doc(weights=[]))
+    assert parse_config(minimal_doc(weights=[2.0])).weights == [2.0]  # broadcasts
+    assert parse_config(minimal_doc(weights=[1.0, 2.0, 3.0])).weights == [1.0, 2.0, 3.0]
+
+
+# Sets every key of the schema, so each rule is reached; valid by the schema
+# alone (parse_config's later checks would reject the mix of presets).
+FULL_DOC = {
+    "schema_version": 1, "family": "B", "N": 2, "preset": "bessel_general",
+    "k": 0.5, "k1": 0.1, "k2": 0.4, "kappa": 1.0, "a": 2.0, "p": 6.0, "q": 7.0,
+    "k_values": [0.1, 0.2, 0.3, 0.4], "T": 1.0, "ensemble": 3, "seed": -4,
+    "x0": {"mode": "explicit", "values": [0.1, 0.5], "spacing": 1.0},
+    "policy": {"dt_max": 1e-3, "dt_min": 1e-9, "safety": 0.1,
+               "explosion_radius": 1e6, "max_rejects": 60},
+    "eps_grid": [0.1, 0.01], "dim_eps": None, "scales": [0.1, 0.2], "weights": "norm",
+    "output_dir": "out", "workers": 2, "record_trajectories": True, "thin_stride": 3,
+    "sweep": {"parameter": "k1", "values": [0.1, 0.2], "parameter2": "k2",
+              "values2": [0.3]},
+}
+# Accepted documents the tests build, and both oneOf branches of ``scales``
+# and all four of ``weights``.
+DOCS = [
+    minimal_doc(), SMALL_DOC, FULL_DOC,
+    minimal_doc(preset="jacobi", k=0.5, p=6.0, q=7.0, x0={"mode": "equispaced"}),
+    dict(SMALL_DOC, sweep={"parameter": "k", "values": [0.2, 0.6]}),
+    dict(FULL_DOC, scales={}, weights=None, dim_eps=0.005),
+    dict(FULL_DOC, scales={"j_min": 0, "n_scales": 2}, weights=2.0),
+    dict(FULL_DOC, weights=[1.0, 2.0, 3.0, 4.0]),
+]
+# wrong types, bools for numbers, 0 and negative bounds, empty arrays
+SUBSTITUTES = ["x", True, False, None, 0, -1, 0.0, 0.5, 2, 2.0, [], [0], [0.1, 0.2], {}]
+
+
+def _mutations(doc):
+    """Copies of ``doc`` with one leaf or container replaced, one key
+    removed or one unknown key added, at every depth."""
+    yield doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        nested = _mutations(value) if isinstance(value, (dict, list)) else ()
+        for sub in [*SUBSTITUTES, *nested]:
+            copy = dict(doc) if isinstance(doc, dict) else list(doc)
+            copy[key] = sub
+            yield copy
+        if isinstance(doc, dict):
+            yield {k: v for k, v in doc.items() if k != key}
+    if isinstance(doc, dict):
+        yield dict(doc, unknown_key=1)
+
+
+def test_schema_interpreter_matches_jsonschema():
+    """``_schema_errors`` accepts exactly the documents that jsonschema's
+    Draft7Validator accepts, and reports errors at the same paths."""
+    schema = _schema()
+    reference = jsonschema.Draft7Validator(schema)
+    checked = rejected = 0
+    for base in DOCS:
+        assert not _schema_errors(schema, base)
+        for doc in _mutations(base):
+            want = sorted("/".join(map(str, e.absolute_path)) or "<root>"
+                          for e in reference.iter_errors(doc))
+            got = sorted(line.split(": ", 1)[0] for line in _schema_errors(schema, doc))
+            assert got == want, (doc, _schema_errors(schema, doc))
+            checked, rejected = checked + 1, rejected + bool(want)
+    assert rejected > 500 and checked - rejected > 100
+
+
+def test_schema_uses_only_handled_keywords():
+    """Every keyword of the shipped schema is one ``_schema_errors`` handles;
+    any other raises instead of passing silently."""
+    def keywords(node):
+        yield from node
+        for sub in [*node.get("properties", {}).values(), *node.get("oneOf", []),
+                    *([node["items"]] if "items" in node else [])]:
+            yield from keywords(sub)
+
+    assert set(keywords(_schema())) <= _KEYWORDS
+    for schema in ({"maxItems": 2}, {"additionalProperties": {"type": "number"}}):
+        with pytest.raises(NotImplementedError):
+            _schema_errors(schema, [1])

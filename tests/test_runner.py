@@ -133,28 +133,33 @@ def test_manifest_records_environment(small_run, tmp_path):
 
 def test_import_loads_no_scipy_special_stats_or_process_pool():
     """``import weylgas`` (and its CLI) leaves scipy.special, scipy.stats and
-    the process pool to the functions that use them.  Checked in a fresh
-    interpreter, because this test process has imported scipy already."""
+    the process pool to the functions that use them, and ``parse_config``
+    and ``besq_hit_probability`` load neither jsonschema nor scipy.special.
+    Checked in a fresh interpreter, because this test process has imported
+    them already."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, weylgas, weylgas.cli; print(sorted(m for m in ("
-            "'scipy.special', 'scipy.stats', 'concurrent.futures.process') "
-            "if m in sys.modules))")
+    code = (f"import sys, weylgas, weylgas.cli; weylgas.parse_config({SMALL_DOC!r}); "
+            "weylgas.besq_hit_probability(weylgas.BesqSpec(1.0, 1.0), 1.0); "
+            "print(sorted(m for m in ('scipy.special', 'scipy.stats', "
+            "'concurrent.futures.process', 'jsonschema') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
 
 
 def test_verify_loads_no_scipy_stats():
-    """The BESQ oracle's KS distance is numpy only: ``run_verify("all")``
-    leaves scipy.stats unloaded, in a fresh interpreter."""
+    """The BESQ oracle's KS distance is numpy only and its hitting law is
+    ``math`` only: ``run_verify("all")`` leaves scipy.stats and scipy.special
+    unloaded, in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys; from weylgas.runner import run_verify; "
-            "r = run_verify('all'); print(r['passed'], 'scipy.stats' in sys.modules)")
+            "r = run_verify('all'); print(r['passed'], 'scipy.stats' in sys.modules, "
+            "'scipy.special' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert proc.stdout.strip() == "True False"
+    assert proc.stdout.strip() == "True False False"
 
 
 def test_worker_count_invariance(small_run, tmp_path):
@@ -360,6 +365,14 @@ def test_cli_config_error_exit_code(tmp_path):
     res = CliRunner().invoke(main, ["simulate", str(cfg)])
     assert res.exit_code == 2
     assert "seed" in res.output
+    # a zero horizon and a weight list of the wrong length are configuration
+    # errors caught before the run directory is made
+    for doc, message in [(dict(SMALL_DOC, T=0), "T: 0"),
+                         (dict(SMALL_DOC, N=3, weights=[1.0, 2.0]), "M = 3 values")]:
+        cfg, out = _write_cfg(tmp_path, doc), tmp_path / "never"
+        res = CliRunner().invoke(main, ["simulate", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2 and message in res.output, res.output
+        assert not out.exists()
 
 
 def test_cli_sweep(tmp_path):
