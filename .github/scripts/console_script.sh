@@ -37,3 +37,9 @@ expect_config_error zero_T '{"family": "A", "N": 2, "preset": "dyson", "k": 0.2,
   "ensemble": 8, "seed": 7}'
 expect_config_error weights '{"family": "A", "N": 3, "preset": "dyson", "k": 0.2, "T": 0.5,
   "ensemble": 8, "seed": 7, "weights": [1.0, 2.0]}'
+expect_config_error nan_T '{"family": "A", "N": 2, "preset": "dyson", "k": 0.2, "T": NaN,
+  "ensemble": 8, "seed": 7}'
+expect_config_error infinite_T '{"family": "A", "N": 2, "preset": "dyson", "k": 0.2, "T": Infinity,
+  "ensemble": 8, "seed": 7}'
+expect_config_error minus_infinite_dt_max '{"family": "A", "N": 2, "preset": "dyson", "k": 0.2,
+  "T": 0.5, "ensemble": 8, "seed": 7, "policy": {"dt_max": -Infinity}}'

@@ -133,6 +133,16 @@ def _schema_errors(schema: dict, value, path: str = "") -> list[str]:
     return errors
 
 
+def _non_finite(value, path: str = "") -> list[str]:
+    """The NaN and infinite floats of a document, which Python's ``json``
+    reads and the draft-07 ``number`` type admits, but JSON cannot hold."""
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return [f"{path or '<root>'}: {value!r} is not a finite number"]
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    return [e for k, v in items for e in _non_finite(v, f"{path}/{k}".lstrip("/"))]
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration plus the raw document it came from."""
@@ -202,7 +212,7 @@ class RunConfig:
 
 
 def _collect_violations(doc: dict) -> list[str]:
-    violations = _schema_errors(_schema(), doc)
+    violations = _schema_errors(_schema(), doc) + _non_finite(doc)
     if violations:
         return violations
 
@@ -291,8 +301,6 @@ def parse_config(doc: dict) -> RunConfig:
             late.append("jacobi x0 coordinates must lie in (-1, 1)")
         resolve_weights(R, cfg.weights)
         cfg.model()
-    except ConfigError:
-        raise
     except (ValueError, KeyError) as exc:
         late.append(str(exc))
     if late:

@@ -23,6 +23,7 @@ from .roots import RootSystem, resolve_weights
 from .sympoly import exclusion_rows
 
 _NOISE_BLOCK = 2048
+_CHUNK_ROWS = 1024  # accepted rows compacted into one array per field
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,10 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     """Integrate ``n_paths`` trajectories of the SDE to time ``horizon``.
 
     ``x0`` is one configuration shared by all paths or an (n_paths, N)
-    array.  ``collector``, if given, receives per-iteration batches via
-    ``collector.update(t_new, proj_new, paths)`` with the times, projection
-    matrix and path indices of the accepted states; use it for streaming
-    analytics when full records would not fit in memory.
+    array.  ``collector``, if given, receives chunks of ``_CHUNK_ROWS`` or
+    more accepted states via ``collector.update(t_new, proj_new, paths)``:
+    times, projection matrix and path indices, each path's rows in time
+    order; use it for streaming analytics when records would not fit.
     """
     pm = R.positive_matrix
     P, N = n_paths, R.N
@@ -191,9 +192,13 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     lifetime = np.zeros(P, dtype=bool)
     stuck = np.zeros(P, dtype=bool)
 
-    # recorded rows (path, time, state, dt) in blocks, one per iteration;
-    # the start rows' dt is a placeholder
+    # recorded rows (path, time, state, dt): the start rows, whose dt is a
+    # placeholder, then chunks.  Each iteration's accepted rows of the fields
+    # (path, time, state, dt, projections) a consumer reads are kept by
+    # reference, as the loop writes none of these arrays in place
     rec = [(np.arange(P), np.zeros(P), states.copy(), np.zeros(P))] if record else None
+    keep = [0, 1] + [2, 3] * record + [4] * (collector is not None)
+    pend, n_pend = [], 0
 
     # lane l runs path g[l] at x[l] and carries its projections proj[l] and
     # their minimum pmin[l]; lane arrays are written back when it leaves
@@ -234,12 +239,10 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         tmax += policy.dt_max
         was_ok, all_ok = all_ok, ok is None
         if all_ok:  # take the proposals whole: no masks
-            acc = slice(None)
             x, proj, pmin, tl = prop, prop_proj, prop_min, tl + dt
             if not was_ok:
                 scale.fill(1.0)
         else:
-            acc = ok
             x = np.where(ok[:, None], prop, x)
             proj = np.where(ok[:, None], prop_proj, proj)
             pmin = np.where(ok, prop_min, pmin)
@@ -247,11 +250,10 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             scale = np.where(ok, 1.0, scale * 0.5)
             n_rej += ~ok
 
-        if record:  # no copies: the loop writes none of these in place
-            rec.append((g, tl, x, dt) if all_ok else (g[ok], tl[ok], x[ok], dt[ok]))
-
-        if collector is not None and (all_ok or ok.any()):
-            collector.update(tl[acc], prop_proj[acc], g[acc])
+        if len(keep) > 2 and (all_ok or ok.any()):
+            rows = [(g, tl, x, dt, proj)[i] for i in keep]
+            pend.append(rows if all_ok else [a[ok] for a in rows])
+            n_pend += pend[-1][0].size
 
         # lanes leave on explosion, max_rejects or the horizon: scalar tests
         # first; max(tl) is taken only when its bound reaches the horizon
@@ -274,6 +276,14 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             rejected_steps[out] = n_rej[leave]
             g, x, proj, pmin, tl, scale, n_rej = (
                 a[~leave] for a in (g, x, proj, pmin, tl, scale, n_rej))
+
+        if n_pend >= _CHUNK_ROWS or pend and not g.size:
+            chunk = pend[0] if len(pend) == 1 else [np.concatenate(c) for c in zip(*pend)]
+            pend, n_pend = [], 0
+            if collector is not None:
+                collector.update(chunk[1], chunk[-1], chunk[0])
+            if record:
+                rec.append(chunk[:4])
 
     records = None
     if record:  # a stable sort by path keeps each path's rows in time order

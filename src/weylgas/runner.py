@@ -459,12 +459,13 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|, the same
     bits as ``scipy.stats.ks_2samp(a, b).statistic`` in its asymptotic
     mode (either sample above 10,000 draws)."""
-    both = np.concatenate([a, b])
-    both[:a.size].sort()
-    both[a.size:].sort()
-    d = np.searchsorted(both[:a.size], both, side="right") / a.size
-    d -= np.searchsorted(both[a.size:], both, side="right") / b.size
-    return float(np.abs(d, out=d).max())
+    a, b = np.sort(a), np.sort(b)
+    sup = 0.0
+    for pts in (a, b):  # the supremum over each sample's points in turn
+        d = np.searchsorted(a, pts, side="right") / a.size
+        d -= np.searchsorted(b, pts, side="right") / b.size
+        sup = np.maximum(sup, np.abs(d, out=d).max())
+    return float(sup)
 
 
 def _verify_oracle(rng: np.random.Generator) -> dict:
@@ -481,11 +482,12 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
     mean_err = abs(draws.mean() - (spec.x0 + spec.delta * 0.5))
     if mean_err > 3.0 * draws.std() / np.sqrt(n):
         failures.append(f"transition mean off by {mean_err:g}")
+    del draws
 
     s1 = besq_exact_transition(BesqSpec(1.2, 0.3), 0.7, n, rng)
-    s2 = besq_exact_transition(BesqSpec(0.9, 0.5), 0.7, n, rng)
+    s1 += besq_exact_transition(BesqSpec(0.9, 0.5), 0.7, n, rng)
     s12 = besq_exact_transition(BesqSpec(2.1, 0.8), 0.7, n, rng)
-    ks = _ks_distance(s1 + s2, s12)
+    ks = _ks_distance(s1, s12)
     if ks >= 0.01:
         failures.append(f"additivity KS {ks:g} >= 0.01")
 

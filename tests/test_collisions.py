@@ -590,9 +590,13 @@ def test_collector_keeps_no_reference_to_caller_arrays():
 
 
 def test_collector_buffer_stays_bounded(monkeypatch):
-    """The buffer never holds more than _FLUSH_ROWS rows plus one batch."""
+    """The buffer never holds more than _FLUSH_ROWS rows plus one batch.
+    The batches are contiguous slices of the chunks the engine feeds,
+    which keep each path's rows in time order."""
     monkeypatch.setattr(collisions, "_FLUSH_ROWS", 7)
-    calls, collector = _logged_ensemble()
+    chunks, collector = _logged_ensemble()
+    calls = [tuple(a[i:i + 10] for a in chunk)
+             for chunk in chunks for i in range(0, len(chunk[2]), 10)]
     col = collector()
     held = []
     flush = col._flush

@@ -3,8 +3,10 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from test_runner import SMALL_DOC
 
+from weylgas.cli import main
 from weylgas.config import (_KEYWORDS, ConfigError, _schema, _schema_errors, load_config,
                             parse_config)
 
@@ -199,6 +201,26 @@ def test_weights_length_checked():
         parse_config(minimal_doc(weights=[]))
     assert parse_config(minimal_doc(weights=[2.0])).weights == [2.0]  # broadcasts
     assert parse_config(minimal_doc(weights=[1.0, 2.0, 3.0])).weights == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("key,value,constant,where", [
+    ("T", float("nan"), "NaN", "T: nan"), ("T", float("inf"), "Infinity", "T: inf"),
+    ("policy", {"dt_max": -float("inf")}, "-Infinity", "policy/dt_max: -inf")],
+    ids=["T-NaN", "T-Infinity", "dt_max-minus-Infinity"])
+def test_non_finite_numbers_rejected(tmp_path, key, value, constant, where):
+    """JSON has no NaN or infinity, but Python's json reads the constants and
+    the schema's number type admits them: a document holding one fails
+    validation, and a config file with one exits 2 before any run
+    directory is made."""
+    doc = dict(SMALL_DOC, **{key: value})
+    with pytest.raises(ConfigError, match=f"{where} is not a finite number"):
+        parse_config(doc)
+    cfg, out = tmp_path / "c.json", tmp_path / "never"
+    cfg.write_text(json.dumps(doc))
+    assert constant in cfg.read_text()
+    res = CliRunner().invoke(main, ["simulate", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2 and f"{where} is not a finite number" in res.output, res.output
+    assert not out.exists()
 
 
 # Sets every key of the schema, so each rule is reached; valid by the schema

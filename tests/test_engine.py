@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from weylgas.collisions import EnsembleCollector, dyadic_scales
-from weylgas.engine import (StepPolicy, _propose, advance_step,
+from weylgas.engine import (_CHUNK_ROWS, StepPolicy, _propose, advance_step,
                             boundary_entry_push, e_poly_drift,
                             log_e_drift_components, mc_drift_estimate,
                             simulate_ensemble, simulate_trajectory)
@@ -185,10 +187,37 @@ def _reference_ensemble(model, R, x0, horizon, policy, seed, P, collector=None):
     return (x, t, boom, dead, n_rej, n_acc), recs
 
 
-def _a3_collector(P, T):
-    return EnsembleCollector(build_root_system("A", 3), None, n_paths=P, horizon=T,
-                             eps_list=[0.05, 0.01], dim_eps=0.02,
-                             scales=dyadic_scales(T, 4))
+def _a3_collector(P, T, cls=EnsembleCollector):
+    return cls(build_root_system("A", 3), None, n_paths=P, horizon=T,
+               eps_list=[0.05, 0.01], dim_eps=0.02, scales=dyadic_scales(T, 4))
+
+
+def _assert_equals_reference(model, R, x0, T, policy, seed, P, cols=(None, None)):
+    """Outputs, records and collector results of the engine and of
+    ``_reference_ensemble`` agree byte for byte; returns the engine's."""
+    res = simulate_ensemble(model, R, np.array(x0), T, policy, seed, P,
+                            collector=cols[0], record=True)
+    ref, recs = _reference_ensemble(model, R, x0, T, policy, seed, P, collector=cols[1])
+    fields = ("final_states", "final_times", "lifetime_flags", "stuck_flags",
+              "rejected_steps", "accepted_steps")
+    for f, want in zip(fields, ref):
+        assert getattr(res, f).tobytes() == want.tobytes(), f
+    for rec, (times, states, dts) in zip(res.records, recs):
+        assert rec.times.tobytes() == np.asarray(times).tobytes()
+        assert rec.states.tobytes() == np.asarray(states).tobytes()
+        assert rec.step_sizes.tobytes() == np.asarray(dts).tobytes()
+    if cols[0] is not None:
+        assert res.rejected_steps.sum() > 0
+        for c in cols:
+            c.finalize()
+        for eps in cols[0].eps_list:
+            assert np.array_equal(cols[0].events_order1[eps], cols[1].events_order1[eps])
+            assert np.array_equal(cols[0].events_order2[eps], cols[1].events_order2[eps])
+            assert np.array_equal(cols[0].argmin_counts[eps], cols[1].argmin_counts[eps])
+            assert cols[0].intervals[eps] == cols[1].intervals[eps]
+        assert cols[0].pooled_counts() == cols[1].pooled_counts()
+        assert sum(map(len, cols[0].intervals[0.05])) > 0
+    return res
 
 
 @pytest.mark.parametrize("preset,params,family,N,x0,T,policy,seed,P", [
@@ -215,28 +244,59 @@ def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
     coupling in every proposal (wishart takes that branch in both)."""
     model, R = make_preset(preset, **params), build_root_system(family, N)
     cols = (_a3_collector(P, T), _a3_collector(P, T)) if family == "A" and N == 3 else (None, None)
-    res = simulate_ensemble(model, R, np.array(x0), T, policy, seed, P,
-                            collector=cols[0], record=True)
-    ref, recs = _reference_ensemble(model, R, x0, T, policy, seed, P, collector=cols[1])
-    fields = ("final_states", "final_times", "lifetime_flags", "stuck_flags",
-              "rejected_steps", "accepted_steps")
-    for f, want in zip(fields, ref):
-        assert getattr(res, f).tobytes() == want.tobytes(), f
-    for rec, (times, states, dts) in zip(res.records, recs):
-        assert rec.times.tobytes() == np.asarray(times).tobytes()
-        assert rec.states.tobytes() == np.asarray(states).tobytes()
-        assert rec.step_sizes.tobytes() == np.asarray(dts).tobytes()
-    if cols[0] is not None:
-        assert res.rejected_steps.sum() > 0
-        for c in cols:
-            c.finalize()
-        for eps in cols[0].eps_list:
-            assert np.array_equal(cols[0].events_order1[eps], cols[1].events_order1[eps])
-            assert np.array_equal(cols[0].events_order2[eps], cols[1].events_order2[eps])
-            assert np.array_equal(cols[0].argmin_counts[eps], cols[1].argmin_counts[eps])
-            assert cols[0].intervals[eps] == cols[1].intervals[eps]
-        assert cols[0].pooled_counts() == cols[1].pooled_counts()
-        assert sum(map(len, cols[0].intervals[0.05])) > 0
+    _assert_equals_reference(model, R, x0, T, policy, seed, P, cols)
+
+
+class _ChunkLog(EnsembleCollector):
+    """A collector that also keeps the path indices of every update."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.chunks = []
+
+    def update(self, t_new, proj_new, path_idx):
+        self.chunks.append(path_idx.copy())
+        super().update(t_new, proj_new, path_idx)
+
+
+def test_chunk_boundaries_equal_reference_and_single_paths():
+    """Rows reach the records and the collector in chunks of at least
+    ``_CHUNK_ROWS`` rows.  Over more than three chunks, with lanes leaving
+    and proposals rejected inside chunks, the records and collector results
+    are those of the reference loop, which feeds one update per iteration,
+    and a path longer than three chunks is its own ``simulate_trajectory``."""
+    model, R = make_preset("dyson", k=0.25), build_root_system("A", 3)
+    x0, T, policy, seed, P = [-0.1, 0.0, 0.1], 0.1, StepPolicy(dt_max=2e-4), 5, 8
+    log = _a3_collector(P, T, _ChunkLog)
+    res = _assert_equals_reference(model, R, x0, T, policy, seed, P,
+                                   (log, _a3_collector(P, T)))
+    sizes = [c.size for c in log.chunks]
+    assert len(sizes) > 3 and min(sizes[:-1]) >= _CHUNK_ROWS
+    assert sum(sizes) == res.accepted_steps.sum()
+    assert set(log.chunks[0].tolist()) == set(range(P))
+    assert any(set(a.tolist()) - set(b.tolist())  # a lane left inside chunk a
+               for a, b in zip(log.chunks, log.chunks[1:]))
+    p = int(np.argmax(res.accepted_steps))
+    assert res.accepted_steps[p] > 3 * _CHUNK_ROWS
+    alone = simulate_trajectory(model, R, x0, T, policy, seed, traj_index=p)
+    for f in ("times", "states", "step_sizes"):
+        assert getattr(alone, f).tobytes() == getattr(res.records[p], f).tobytes(), f
+
+
+def test_recorded_path_memory_is_bounded():
+    """A recorded path peaks at a few times its own bytes: the diagnostics
+    B4 path (9,036 rows, 0.43 MB recorded) stays under 3.5 MB of numpy and
+    Python allocations."""
+    model, R = make_preset("bessel_b", k1=0.3, k2=0.5), build_root_system("B", 4)
+    tracemalloc.start()
+    try:
+        rec = simulate_trajectory(model, R, [0.2, 0.5, 0.9, 1.4], 0.25,
+                                  StepPolicy(dt_max=1e-4), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rec.times) == 9036
+    assert peak <= 3.5e6, peak
 
 
 def test_propose_returns_row_minimum_of_projections():

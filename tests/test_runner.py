@@ -5,6 +5,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -311,6 +312,20 @@ def test_run_verify_sections():
     assert report["passed"], report["sections"]["oracle"]["failures"]
     with pytest.raises(ValueError):
         run_verify("nope")
+
+
+def test_oracle_memory_is_bounded():
+    """The BESQ oracle holds its 100,000-draw samples (0.8 MB each) and no
+    full-size temporaries beside them: under 8 MB of numpy and Python
+    allocations."""
+    tracemalloc.start()
+    try:
+        report = run_verify("oracle")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak <= 8e6, peak
 
 
 def test_verify_report_drift_checks_share_one_passed_type(tmp_path):
