@@ -47,11 +47,8 @@ def besq_exact_transition(spec: BesqSpec, t: float, size: int = 1,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = rng.poisson(spec.x0 / (2.0 * t), size=size)
     shape = spec.delta / 2.0 + k
-    if spec.delta > 0:  # every shape is positive
-        return rng.gamma(shape=shape, scale=2.0 * t)
-    out = np.zeros(size)  # shape 0 (no Poisson jump) is an exact atom at zero
-    out[k > 0] = rng.gamma(shape=shape[k > 0], scale=2.0 * t)
-    return out
+    # shape 0 (delta = 0, no Poisson jump) draws nothing: an exact atom at zero
+    return rng.gamma(shape=shape, scale=2.0 * t)
 
 
 _EPS = 1e-16    # relative size of the last term kept

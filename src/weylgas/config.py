@@ -133,16 +133,6 @@ def _schema_errors(schema: dict, value, path: str = "") -> list[str]:
     return errors
 
 
-def _non_finite(value, path: str = "") -> list[str]:
-    """The NaN and infinite floats of a document, which Python's ``json``
-    reads and the draft-07 ``number`` type admits, but JSON cannot hold."""
-    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
-        return [f"{path or '<root>'}: {value!r} is not a finite number"]
-    items = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ())
-    return [e for k, v in items for e in _non_finite(v, f"{path}/{k}".lstrip("/"))]
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration plus the raw document it came from."""
@@ -212,7 +202,11 @@ class RunConfig:
 
 
 def _collect_violations(doc: dict) -> list[str]:
-    violations = _schema_errors(_schema(), doc) + _non_finite(doc)
+    violations = _schema_errors(_schema(), doc)
+    try:  # Python's json reads NaN and Infinity, and the number type admits them
+        json.dumps(doc, allow_nan=False, default=float)
+    except ValueError:
+        violations.append("document holds a NaN or infinite number, which JSON cannot hold")
     if violations:
         return violations
 

@@ -166,10 +166,10 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     """Integrate ``n_paths`` trajectories of the SDE to time ``horizon``.
 
     ``x0`` is one configuration shared by all paths or an (n_paths, N)
-    array.  ``collector``, if given, receives chunks of ``_CHUNK_ROWS`` or
-    more accepted states via ``collector.update(t_new, proj_new, paths)``:
-    times, projection matrix and path indices, each path's rows in time
-    order; use it for streaming analytics when records would not fit.
+    array.  ``collector``, if given, receives chunks of about ``_CHUNK_ROWS``
+    accepted states (the last may be smaller) via ``collector.update(t_new,
+    proj_new, paths)``: times, projections and path indices, each path's rows
+    in time order; use it for streaming analytics when records would not fit.
     """
     pm = R.positive_matrix
     P, N = n_paths, R.N
@@ -192,12 +192,10 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     lifetime = np.zeros(P, dtype=bool)
     stuck = np.zeros(P, dtype=bool)
 
-    # recorded rows (path, time, state, dt): the start rows, whose dt is a
-    # placeholder, then chunks.  Each iteration's accepted rows of the fields
-    # (path, time, state, dt, projections) a consumer reads are kept by
-    # reference, as the loop writes none of these arrays in place
+    # recorded rows (path, time, state, dt): the start rows (dt a placeholder),
+    # then chunks.  Each iteration's accepted rows of the fields a consumer
+    # reads are kept by reference, as the loop writes none of them in place
     rec = [(np.arange(P), np.zeros(P), states.copy(), np.zeros(P))] if record else None
-    keep = [0, 1] + [2, 3] * record + [4] * (collector is not None)
     pend, n_pend = [], 0
 
     # lane l runs path g[l] at x[l] and carries its projections proj[l] and
@@ -250,8 +248,8 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             scale = np.where(ok, 1.0, scale * 0.5)
             n_rej += ~ok
 
-        if len(keep) > 2 and (all_ok or ok.any()):
-            rows = [(g, tl, x, dt, proj)[i] for i in keep]
+        if (record or collector is not None) and (all_ok or ok.any()):
+            rows = (g, tl) + (x, dt) * record + (proj,) * (collector is not None)
             pend.append(rows if all_ok else [a[ok] for a in rows])
             n_pend += pend[-1][0].size
 
@@ -280,10 +278,11 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         if n_pend >= _CHUNK_ROWS or pend and not g.size:
             chunk = pend[0] if len(pend) == 1 else [np.concatenate(c) for c in zip(*pend)]
             pend, n_pend = [], 0
+            path, times, *fields = chunk
             if collector is not None:
-                collector.update(chunk[1], chunk[-1], chunk[0])
+                collector.update(times, fields.pop(), path)
             if record:
-                rec.append(chunk[:4])
+                rec.append((path, times, *fields))
 
     records = None
     if record:  # a stable sort by path keeps each path's rows in time order

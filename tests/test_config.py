@@ -203,23 +203,23 @@ def test_weights_length_checked():
     assert parse_config(minimal_doc(weights=[1.0, 2.0, 3.0])).weights == [1.0, 2.0, 3.0]
 
 
-@pytest.mark.parametrize("key,value,constant,where", [
-    ("T", float("nan"), "NaN", "T: nan"), ("T", float("inf"), "Infinity", "T: inf"),
-    ("policy", {"dt_max": -float("inf")}, "-Infinity", "policy/dt_max: -inf")],
+@pytest.mark.parametrize("key,value,constant", [
+    ("T", float("nan"), "NaN"), ("T", float("inf"), "Infinity"),
+    ("policy", {"dt_max": -float("inf")}, "-Infinity")],
     ids=["T-NaN", "T-Infinity", "dt_max-minus-Infinity"])
-def test_non_finite_numbers_rejected(tmp_path, key, value, constant, where):
+def test_non_finite_numbers_rejected(tmp_path, key, value, constant):
     """JSON has no NaN or infinity, but Python's json reads the constants and
     the schema's number type admits them: a document holding one fails
     validation, and a config file with one exits 2 before any run
     directory is made."""
     doc = dict(SMALL_DOC, **{key: value})
-    with pytest.raises(ConfigError, match=f"{where} is not a finite number"):
+    with pytest.raises(ConfigError, match="NaN or infinite number"):
         parse_config(doc)
     cfg, out = tmp_path / "c.json", tmp_path / "never"
     cfg.write_text(json.dumps(doc))
     assert constant in cfg.read_text()
     res = CliRunner().invoke(main, ["simulate", str(cfg), "--out", str(out)])
-    assert res.exit_code == 2 and f"{where} is not a finite number" in res.output, res.output
+    assert res.exit_code == 2 and "NaN or infinite number" in res.output, res.output
     assert not out.exists()
 
 
