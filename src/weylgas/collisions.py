@@ -4,7 +4,7 @@ change.
 
 One run finder, ``_event_runs``, decides what an event is.  The pure
 functions over a ``TrajectoryRecord`` (small runs, tests) call it on one
-recorded path; the streaming ``EnsembleCollector`` calls it on each block
+recorded path; the streaming ``EnsembleCollector`` calls it on each batch
 of accepted steps while a vectorized ensemble integrates, without storing
 paths.
 """
@@ -319,7 +319,7 @@ def time_change_theta(traj: TrajectoryRecord, model: CoefficientModel,
 # ---------------------------------------------------------------------------
 
 
-_FLUSH_ROWS = 4096  # buffered accepted rows that trigger a flush
+_MAX_INTERVALS = 20000  # stored intervals per path and eps; the rest are counted
 
 
 def path_event_rates(order1: np.ndarray, order2: np.ndarray) -> dict:
@@ -339,22 +339,19 @@ class EnsembleCollector:
     to ``simulate_ensemble`` via the ``collector`` argument and call
     ``finalize()`` afterwards.
 
-    ``update`` only buffers the accepted rows; they are processed in one
-    vectorized pass once ``_FLUSH_ROWS`` rows are held, and by
-    ``finalize()``.  Event counts, ``intervals``, ``dropped_intervals`` and
-    ``pooled_counts()`` are therefore complete only after ``finalize()``.
-
-    Events still open at a flush carry over in (E, P) arrays over E eps
-    values and P paths; ``events_order1``, ``events_order2`` and
-    ``argmin_counts`` map each eps to its row.  Occupancy is one (P, boxes)
-    bitmap with a block of columns per scale.  At most
-    ``max_intervals_per_path`` intervals are kept per path and eps; the
-    rest are counted in ``dropped_intervals``.
+    Each ``update`` processes its rows in one vectorized pass and keeps
+    none of them.  Events still open at the end of a batch carry over in
+    (E, P) arrays over E eps values and P paths; they are counted, and
+    their intervals stored, when a later batch or ``finalize()`` closes
+    them.  ``events_order1``, ``events_order2`` and ``argmin_counts`` map
+    each eps to its row.  Occupancy is one (P, boxes) bitmap with a block
+    of columns per scale.  At most ``_MAX_INTERVALS`` intervals are kept
+    per path and eps; the rest are counted in ``dropped_intervals``.
     """
 
     def __init__(self, R: RootSystem, w, n_paths: int, horizon: float,
                  eps_list: Sequence[float], dim_eps: float,
-                 scales: Sequence[float], max_intervals_per_path: int = 20000):
+                 scales: Sequence[float]):
         self.R = R
         self.weights = resolve_weights(R, w)
         self.P = n_paths
@@ -362,7 +359,6 @@ class EnsembleCollector:
         self.eps_list = [float(e) for e in eps_list]
         self.dim_eps = float(dim_eps)
         self.scales = [float(s) for s in scales]
-        self.max_intervals = max_intervals_per_path
         E, P = len(self.eps_list), n_paths
         self._eps = np.array(self.eps_list).reshape(E, 1)
         self._below = np.zeros((E, P), dtype=bool)
@@ -384,37 +380,22 @@ class EnsembleCollector:
         self._box0 = np.cumsum(self._n_boxes) - self._n_boxes  # first column per scale
         self._occ = np.zeros((P, int(self._n_boxes.sum())), dtype=bool)
         self._dropped = [0] * E
-        self._buf = []  # (times, projections, path indices) per update
-        self._n_buf = 0
-        self._finalized = False
 
     def update(self, t_new: np.ndarray, proj_new: np.ndarray, path_idx: np.ndarray):
-        """Buffer one batch of accepted steps for the given global path indices."""
-        self._buf.append((np.array(t_new, dtype=float), np.array(proj_new, dtype=float),
-                          np.array(path_idx)))
-        self._n_buf += len(path_idx)
-        if self._n_buf >= _FLUSH_ROWS:
-            self._flush()
-
-    def _flush(self):
-        """Process the buffered rows in one pass: mark occupancy, then find
+        """Process one batch of accepted steps of the given global path
+        indices, each path's rows in time order: mark occupancy, then find
         the runs of consecutive below-eps rows of every (eps, path), joining
         a run at a path's first row to the event left open there."""
-        if not self._n_buf:
-            return
-        t, wproj, g = (np.concatenate(a) for a in zip(*self._buf))
-        self._buf, self._n_buf = [], 0
-        order = np.argsort(g, kind="stable")  # each path's rows in time order
-        t, wproj, g = t[order], wproj[order], g[order]
-        wproj /= self.weights  # once per flush, not per update
+        order = np.argsort(path_idx, kind="stable")  # each path's rows in time order
+        t, g = np.asarray(t_new, dtype=float)[order], np.asarray(path_idx)[order]
+        wproj = np.asarray(proj_new, dtype=float)[order]
+        wproj /= self.weights
         minv = wproj.min(axis=1)
         near = minv < self.dim_eps
-        if near.any():
-            tb = t[near][:, None]
-            cols = np.minimum((tb / self._scales).astype(np.int64), self._n_boxes - 1)
-            self._occ[g[near][:, None], cols + self._box0] = True
+        cols = np.minimum((t[near][:, None] / self._scales).astype(np.int64), self._n_boxes - 1)
+        self._occ[g[near][:, None], cols + self._box0] = True
 
-        first = np.ones(g.size, dtype=bool)  # a path's first row in this flush
+        first = np.ones(g.size, dtype=bool)  # a path's first row in this batch
         np.not_equal(g[1:], g[:-1], out=first[1:])
         last = np.roll(first, -1)  # and its last row
         heads, tails = np.flatnonzero(first), np.flatnonzero(last)
@@ -436,7 +417,7 @@ class EnsembleCollector:
             mins[old] = self._cur_min[es[old], p[old]]
             depth[old] = self._cur_order[es[old], p[old]]
             amin[old] = self._cur_argmin[es[old], p[old]]
-            # runs reaching a path's last row stay open into the next flush
+            # runs reaching a path's last row stay open into the next batch
             op = last[re]
             eo, po = es[op], p[op]
             self._t_in[eo, po] = t_in[op]
@@ -462,19 +443,16 @@ class EnsembleCollector:
         np.add.at(self._argmin, (ei, g, argmin), 1)
         for e, p, a, b in zip(ei.tolist(), g.tolist(), t_in.tolist(), t_out.tolist()):
             ivs = self._ivs[e][p]
-            if len(ivs) < self.max_intervals:
+            if len(ivs) < _MAX_INTERVALS:
                 ivs.append((a, b))
             else:
                 self._dropped[e] += 1
 
     def finalize(self):
-        """Flush the buffer and close any events still open at the horizon."""
-        if self._finalized:
-            return
-        self._flush()
+        """Close the events still open at the horizon."""
         ei, p = np.nonzero(self._below)
         self._close(ei, p, *self._stored(ei, p))
-        self._finalized = True
+        self._below[:] = False
 
     @property
     def dropped_intervals(self) -> dict[float, int]:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgas.collisions as collisions
+import weylgas.engine as engine
 from weylgas.collisions import (CollisionEvent, EnsembleCollector,
                                 box_counting_dimension,
                                 box_counts, detect_collision_events,
@@ -427,13 +428,19 @@ def test_collector_matches_batch_detection_three_roots():
     assert (col.argmin_counts[0.1].sum(axis=0) > 0).sum() >= 2
 
 
-@pytest.mark.parametrize("flush_rows", [1, 7])
+@pytest.mark.parametrize("chunk_rows", [1, 7])
 @pytest.mark.parametrize("check", [_check_a2, _check_a3], ids=["A2", "A3"])
-def test_collector_small_flushes_match_batch_detection(monkeypatch, check, flush_rows):
-    """Flushing every few rows opens and closes events across flush edges;
-    every count still equals batch detection."""
-    monkeypatch.setattr(collisions, "_FLUSH_ROWS", flush_rows)
+def test_collector_small_flushes_match_batch_detection(monkeypatch, check, chunk_rows):
+    """Feeding the collector chunks of every few rows opens and closes events
+    across chunk edges; every count still equals batch detection."""
+    monkeypatch.setattr(engine, "_COLLECTOR_CHUNK_ROWS", chunk_rows)
+    sizes = []
+    update = EnsembleCollector.update
+    monkeypatch.setattr(EnsembleCollector, "update",
+                        lambda self, t, proj, idx: sizes.append(len(idx))
+                        or update(self, t, proj, idx))
     check()
+    assert len(sizes) > 1
 
 
 def test_collector_interval_nesting_and_argmin():
@@ -488,11 +495,11 @@ def test_collector_occupancy_without_events(eps_list):
         assert col.intervals[eps] == [[] for _ in range(6)]
 
 
-@pytest.mark.parametrize("flush_rows", [1, 2, 3, 4096])
-def test_collector_event_minimum_across_flushes(monkeypatch, flush_rows):
+@pytest.mark.parametrize("per_step", [True, False], ids=["per-step", "one-update"])
+def test_collector_event_minimum_across_flushes(per_step):
     """An event keeps its first deepest row, also when a later row of the
-    event ties it or when the rows arrive in separate flushes."""
-    monkeypatch.setattr(collisions, "_FLUSH_ROWS", flush_rows)
+    event ties it, whether the rows arrive in one update per time step or
+    all in one update."""
     R = build_root_system("A", 3)
     col = EnsembleCollector(R, None, n_paths=2, horizon=1.0, eps_list=[0.01, 0.005],
                             dim_eps=0.01, scales=dyadic_scales(1.0, 3))
@@ -507,9 +514,12 @@ def test_collector_event_minimum_across_flushes(monkeypatch, flush_rows):
         (0.7, {0: [0.002, 0.003, 0.5]}),          # B goes deeper: root 0, order 2
     ]
     col.update(np.empty(0), np.empty((0, R.M)), np.empty(0, dtype=int))
-    for t, rows in feed:
-        idx = np.array(list(rows))
-        col.update(np.full(idx.size, t), np.array(list(rows.values())), idx)
+    steps = [(np.full(len(rows), t), np.array(list(rows.values())), np.array(list(rows)))
+             for t, rows in feed]
+    if not per_step:
+        steps = [tuple(map(np.concatenate, zip(*steps)))]
+    for t, proj, idx in steps:
+        col.update(t, proj, idx)
     col.finalize()
     assert col.intervals[0.01] == [[(0.2, 0.4), (0.6, 0.7)], [(0.3, 0.3)]]
     assert col.intervals[0.005] == [[(0.2, 0.3), (0.7, 0.7)], [(0.3, 0.3)]]
@@ -589,39 +599,29 @@ def test_collector_keeps_no_reference_to_caller_arrays():
     _same_results(kept, reused)
 
 
-def test_collector_buffer_stays_bounded(monkeypatch):
-    """The buffer never holds more than _FLUSH_ROWS rows plus one batch.
-    The batches are contiguous slices of the chunks the engine feeds,
-    which keep each path's rows in time order."""
-    monkeypatch.setattr(collisions, "_FLUSH_ROWS", 7)
-    chunks, collector = _logged_ensemble()
-    calls = [tuple(a[i:i + 10] for a in chunk)
-             for chunk in chunks for i in range(0, len(chunk[2]), 10)]
-    col = collector()
-    held = []
-    flush = col._flush
-
-    def counting_flush():
-        held.append(col._n_buf)
-        flush()
-
-    col._flush = counting_flush
-    for t_new, proj, idx in calls:
-        col.update(t_new, proj, idx)
-        assert col._n_buf < 7
-    largest = max(len(idx) for _, _, idx in calls)
-    assert len(held) > 1 and max(held) <= 7 + largest
+def test_collector_closes_events_within_one_update():
+    """An event that opens and closes inside one small update is counted and
+    stored by that update, before ``finalize()``."""
+    R = build_root_system("A", 2)
+    col = EnsembleCollector(R, None, n_paths=2, horizon=1.0, eps_list=[0.01],
+                            dim_eps=0.01, scales=dyadic_scales(1.0, 3))
+    proj = np.array([[0.5, 0.5, 1.0], [0.005, 0.5, 0.505], [0.5, 0.5, 1.0]])
+    col.update(np.array([0.1, 0.2, 0.3]), proj, np.array([1, 1, 1]))
+    assert col.events_order1[0.01].tolist() == [0, 1]
+    assert col.intervals[0.01] == [[], [(0.2, 0.2)]]
 
 
-def test_collector_counts_dropped_intervals():
+def test_collector_counts_dropped_intervals(monkeypatch):
     """With one interval kept per path, the rest are counted as dropped;
     event counts still include every event."""
     calls, collector = _logged_ensemble()
-    full, capped = collector(), collector(max_intervals_per_path=1)
+    full, capped = collector(), collector()
     for args in calls:
         full.update(*args)
-        capped.update(*args)
     full.finalize()
+    monkeypatch.setattr(collisions, "_MAX_INTERVALS", 1)
+    for args in calls:
+        capped.update(*args)
     capped.finalize()
     assert full.dropped_intervals == {0.05: 0, 0.01: 0}
     for eps in full.eps_list:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import weylgas.engine as engine
 from weylgas.collisions import EnsembleCollector, dyadic_scales
 from weylgas.engine import (_CHUNK_ROWS, StepPolicy, _propose, advance_step,
                             boundary_entry_push, e_poly_drift,
@@ -259,12 +260,14 @@ class _ChunkLog(EnsembleCollector):
         super().update(t_new, proj_new, path_idx)
 
 
-def test_chunk_boundaries_equal_reference_and_single_paths():
+def test_chunk_boundaries_equal_reference_and_single_paths(monkeypatch):
     """Rows reach the records and the collector in chunks of at least
-    ``_CHUNK_ROWS`` rows.  Over more than three chunks, with lanes leaving
-    and proposals rejected inside chunks, the records and collector results
-    are those of the reference loop, which feeds one update per iteration,
-    and a path longer than three chunks is its own ``simulate_trajectory``."""
+    ``_CHUNK_ROWS`` rows (the collector chunk size is set to it here).  Over
+    more than three chunks, with lanes leaving and proposals rejected inside
+    chunks, the records and collector results are those of the reference
+    loop, which feeds one update per iteration, and a path longer than three
+    chunks is its own ``simulate_trajectory``."""
+    monkeypatch.setattr(engine, "_COLLECTOR_CHUNK_ROWS", _CHUNK_ROWS)
     model, R = make_preset("dyson", k=0.25), build_root_system("A", 3)
     x0, T, policy, seed, P = [-0.1, 0.0, 0.1], 0.1, StepPolicy(dt_max=2e-4), 5, 8
     log = _a3_collector(P, T, _ChunkLog)
@@ -285,7 +288,7 @@ def test_chunk_boundaries_equal_reference_and_single_paths():
 
 def test_recorded_path_memory_is_bounded():
     """A recorded path peaks at a few times its own bytes: the diagnostics
-    B4 path (9,036 rows, 0.43 MB recorded) stays under 3.5 MB of numpy and
+    B4 path (9,036 rows, 0.43 MB recorded) stays under 2.1 MB of numpy and
     Python allocations."""
     model, R = make_preset("bessel_b", k1=0.3, k2=0.5), build_root_system("B", 4)
     tracemalloc.start()
@@ -296,7 +299,7 @@ def test_recorded_path_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(rec.times) == 9036
-    assert peak <= 3.5e6, peak
+    assert peak <= 2.1e6, peak
 
 
 def test_propose_returns_row_minimum_of_projections():

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import platform
@@ -14,10 +13,10 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
+import weylgas.collisions as collisions
 import weylgas.runner as runner
 from weylgas.besq import BesqSpec, besq_exact_transition
 from weylgas.cli import main
-from weylgas.collisions import EnsembleCollector
 from weylgas.config import parse_config
 from weylgas.runner import (config_digest, reanalyze_dimension,
                             rerun_from_manifest, run_simulate, run_sweep,
@@ -204,8 +203,7 @@ def test_dropped_intervals_reported(small_run, tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reanalyze_dimension(out1, eps=0.1)
-    monkeypatch.setattr(runner, "EnsembleCollector",
-                        functools.partial(EnsembleCollector, max_intervals_per_path=1))
+    monkeypatch.setattr(collisions, "_MAX_INTERVALS", 1)
     out = tmp_path / "capped"
     run_simulate(parse_config(dict(SMALL_DOC)), out_dir=out)
     full = json.loads((out1 / "events.json").read_text())["per_eps"]
