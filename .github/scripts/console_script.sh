@@ -10,6 +10,13 @@ mkdir -p "$out"
 weylgas --version
 weylgas besq --delta 1.0 --x0 1.0 --t 1.0
 weylgas verify --scope all --report "$out/verify.json"
+# the oracle checks its hitting law on both sides of x0/(2t) = 2 - delta/2
+python -c '
+import json, sys
+checks = json.load(open(sys.argv[1]))["sections"]["oracle"]["checks"]
+assert sorted(c["x0"] / (2 * c["t"]) < 2 - c["delta"] / 2 for c in checks) == [False, True], checks
+assert all(c["passed"] for c in checks), checks
+' "$out/verify.json"
 cat > "$out/a2.json" <<'JSON'
 {"family": "A", "N": 2, "preset": "dyson", "k": 0.2, "T": 0.5,
  "ensemble": 8, "seed": 7, "x0": {"mode": "equispaced", "spacing": 0.4},

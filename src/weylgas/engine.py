@@ -380,7 +380,7 @@ def e_poly_drift(x: Sequence[float], model: CoefficientModel, R: RootSystem,
     off = ~np.eye(R.M, dtype=bool)
     term_b = 2.0 * float(bvals @ (star.T @ (sproj * e1)))
     term_k = 2.0 * float(np.sum(gram * np.outer(sproj * e1, kvals / sproj)))
-    term_diag = float(sig2 @ (star.T**2 @ e1))
+    term_diag = float(np.sum((sig2 @ star.T**2) * e1))
     term_off = float(np.sum((pair * two[..., n - 1])[off]))
     return term_b + term_k + term_diag + term_off
 

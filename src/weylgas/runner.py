@@ -471,17 +471,36 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _verify_oracle(rng: np.random.Generator) -> dict:
     """BESQ oracle self-checks: moments, additivity, hitting law.
 
-    Additivity compares BESQ(d1, x1) + BESQ(d2, x2) with BESQ(d1 + d2,
-    x1 + x2) by the two-sample KS distance of ``_ks_distance`` (numpy
+    The exact transition's mean x0 + delta t and variance 2 delta t^2 +
+    4 x0 t fail beyond 3 and 4 standard errors (the variance's from the
+    sample's fourth central moment).  Additivity compares BESQ(d1, x1) +
+    BESQ(d2, x2) with BESQ(d1 + d2, x1 + x2) by ``_ks_distance`` (numpy
     only: no ``scipy.stats``), which fails at 0.01 or more.
+
+    The hitting law is checked by the Doob h-transform, an exact identity:
+    for 0 < delta < 2 and nu = 1 - delta/2, BESQ(4 - delta) is BESQ(delta)
+    conditioned by the harmonic h(x) = x^nu (Revuz & Yor, ch. XI), so
+    P(T0 > t) = x0^nu E[X_t^-nu] with X ~ BESQ(4 - delta) from x0, drawn
+    exactly.  Nothing is discretized, so ``besq_hit_probability`` fails
+    beyond 4 standard errors with no bias term.  (delta, x0, t) = (1, 1, 1)
+    and (1.5, 3, 1) test the series and the continued-fraction branch of
+    ``besq._gamma_q``; each is reported in ``checks``.  The absorbing-Euler
+    cross-check of the same law lives in the test suite.
     """
-    failures = []
+    failures, checks = [], []
     n = 100_000
-    spec = BesqSpec(delta=1.7, x0=0.8)
-    draws = besq_exact_transition(spec, t=0.5, size=n, seed=rng)
-    mean_err = abs(draws.mean() - (spec.x0 + spec.delta * 0.5))
+    spec, t = BesqSpec(delta=1.7, x0=0.8), 0.5
+    draws = besq_exact_transition(spec, t, size=n, seed=rng)
+    mean = draws.mean()
+    mean_err = abs(mean - (spec.x0 + spec.delta * t))
     if mean_err > 3.0 * draws.std() / np.sqrt(n):
         failures.append(f"transition mean off by {mean_err:g}")
+    draws -= mean
+    draws *= draws  # squared deviations
+    var = draws.mean()
+    var_err = abs(var - (2.0 * spec.delta * t**2 + 4.0 * spec.x0 * t))
+    if var_err > 4.0 * np.sqrt((draws @ draws / n - var**2) / n):
+        failures.append(f"transition variance off by {var_err:g}")
     del draws
 
     s1 = besq_exact_transition(BesqSpec(1.2, 0.3), 0.7, n, rng)
@@ -490,26 +509,21 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
     ks = _ks_distance(s1, s12)
     if ks >= 0.01:
         failures.append(f"additivity KS {ks:g} >= 0.01")
+    del s1, s12
 
-    # hit probability vs absorbing fine-step Euler
-    spec = BesqSpec(delta=1.0, x0=1.0)
-    p_exact = besq_hit_probability(spec, t=1.0)
-    paths = 20_000
-    dt = 5e-4
-    drift, diffusion = spec.delta * dt, 2.0 * np.sqrt(dt)
-    x = np.full(paths, spec.x0)  # unabsorbed paths only, in path order: x > 0
-    for _ in range(int(1.0 / dt)):
-        xi = rng.standard_normal(x.size)
-        xi *= np.sqrt(x) * diffusion
-        xi += drift
-        x += xi
-        x = x[x > 0]
-    p_mc = (paths - x.size) / paths
-    se = np.sqrt(p_mc * (1 - p_mc) / paths)
-    # fine-step Euler still discretizes; allow 3 sigma plus a small bias term
-    if abs(p_mc - p_exact) > 3.0 * se + 0.02:
-        failures.append(f"hit probability {p_exact:g} vs MC {p_mc:g}")
-    return {"passed": not failures, "failures": failures}
+    for delta, x0, t in ((1.0, 1.0, 1.0), (1.5, 3.0, 1.0)):
+        nu = 1.0 - delta / 2.0
+        p_exact = besq_hit_probability(BesqSpec(delta, x0), t)
+        w = besq_exact_transition(BesqSpec(4.0 - delta, x0), t, n, rng)
+        w **= -nu
+        w *= x0**nu  # unbiased for P(T0 > t)
+        p_mc, se = 1.0 - float(w.mean()), float(w.std() / np.sqrt(n))
+        ok = abs(p_mc - p_exact) <= 4.0 * se
+        checks.append({"delta": delta, "x0": x0, "t": t, "p_exact": p_exact,
+                       "p_mc": p_mc, "stderr": se, "passed": ok})
+        if not ok:
+            failures.append(f"hitting law at delta={delta:g}: {p_exact:g} vs MC {p_mc:g}")
+    return {"passed": not failures, "failures": failures, "checks": checks}
 
 
 def run_verify(scope: str = "all", seed: int = 20260823) -> dict:

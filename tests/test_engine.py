@@ -382,6 +382,30 @@ def test_e_poly_drift_interior_required():
         e_poly_drift([-1.0, 1.0], m, R, None, 2)
 
 
+def test_e_poly_drift_bits_do_not_depend_on_table_layout(monkeypatch):
+    """On 1,020 random A2/A3/B2/B3 states, e_poly_drift returns the same
+    bits when the exclusion tables come in Fortran order, which makes the
+    e_{n-1} column contiguous instead of strided."""
+    rng = np.random.default_rng(0)
+    cases = [("A", 2, "dyson", {"k": 0.6}), ("A", 3, "dyson", {"k": 0.4}),
+             ("B", 2, "bessel_b", {"k1": 0.8, "k2": 0.6}),
+             ("B", 3, "bessel_b", {"k1": 0.5, "k2": 0.3})]
+    states = []
+    while len(states) < 1020:
+        family, N, preset, params = cases[len(states) % 4]
+        R = build_root_system(family, N)
+        x = np.sort(rng.uniform(0.1, 2.0, N)) + (0.3 * np.arange(N) if family == "A" else 0)
+        if np.min(R.positive_matrix @ x) > 0:
+            states.append((x, make_preset(preset, **params), R,
+                           int(rng.integers(1, R.M + 1))))
+    c_order = [e_poly_drift(x, m, R, None, n) for x, m, R, n in states]
+    rows = engine.exclusion_rows
+    monkeypatch.setattr(engine, "exclusion_rows",
+                        lambda v, n: tuple(np.asfortranarray(a) for a in rows(v, n)))
+    f_order = [e_poly_drift(x, m, R, None, n) for x, m, R, n in states]
+    assert sum(a != b for a, b in zip(c_order, f_order)) == 0
+
+
 def test_log_drift_components_dyson_n2():
     """For A_1 there are no root pairs: A2 = A3 = A6 = 0 and A5 < 0."""
     R = build_root_system("A", 2)

@@ -13,6 +13,7 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
+import weylgas.besq as besq
 import weylgas.collisions as collisions
 import weylgas.runner as runner
 from weylgas.besq import BesqSpec, besq_exact_transition
@@ -324,6 +325,63 @@ def test_oracle_memory_is_bounded():
         tracemalloc.stop()
     assert report["passed"]
     assert peak <= 8e6, peak
+
+
+@pytest.mark.parametrize("shift", [0.01, -0.01])
+def test_oracle_hitting_law_detects_a_shifted_law(monkeypatch, shift):
+    """The exact hitting-law check fails on a hitting probability 0.01 off."""
+    exact = runner.besq_hit_probability
+    monkeypatch.setattr(runner, "besq_hit_probability",
+                        lambda spec, t: exact(spec, t) + shift)
+    section = run_verify("oracle")["sections"]["oracle"]
+    assert not section["passed"]
+    assert all(f.startswith("hitting law") for f in section["failures"])
+
+
+def test_oracle_hitting_law_covers_both_gamma_q_branches(monkeypatch):
+    """One hitting-law spec takes the series of Q(a, z) (z < a + 1), the
+    other its continued fraction (z > a + 1)."""
+    calls = []
+    gamma_q = besq._gamma_q
+
+    def spy(a, z):
+        calls.append(z < a + 1.0)
+        return gamma_q(a, z)
+
+    monkeypatch.setattr(besq, "_gamma_q", spy)
+    assert run_verify("oracle")["passed"]
+    assert sorted(calls) == [False, True]
+
+
+def test_oracle_variance_check_detects_spread(monkeypatch):
+    """A transition sampler with the exact mean and 5% more spread about it
+    fails the variance check, and only that check."""
+    exact = runner.besq_exact_transition
+
+    def spread(spec, t, size=1, seed=None):
+        x = exact(spec, t, size, seed)
+        if spec == BesqSpec(1.7, 0.8):
+            mean = spec.x0 + spec.delta * t
+            x = mean + 1.05 * (x - mean)
+        return x
+
+    monkeypatch.setattr(runner, "besq_exact_transition", spread)
+    section = run_verify("oracle")["sections"]["oracle"]
+    assert [f.split(" off")[0] for f in section["failures"]] == ["transition variance"]
+
+
+def test_verify_report_oracle_checks(tmp_path):
+    """The oracle reports each hitting-law spec, one on each side of
+    x0 / 2t = 2 - delta/2, with ``passed`` of the drift rows' JSON type."""
+    write_json(tmp_path / "report.json", run_verify("all"))
+    sections = json.loads((tmp_path / "report.json").read_text())["sections"]
+    checks = sections["oracle"]["checks"]
+    assert sorted(c["x0"] / (2 * c["t"]) < 2 - c["delta"] / 2 for c in checks) == [False, True]
+    for c in checks:
+        assert set(c) == {"delta", "x0", "t", "p_exact", "p_mc", "stderr", "passed"}
+        assert abs(c["p_mc"] - c["p_exact"]) <= 4 * c["stderr"] and c["passed"]
+    drift_type = {type(c["passed"]) for c in sections["drift"]["checks"]}
+    assert {type(c["passed"]) for c in checks} == drift_type
 
 
 def test_verify_report_drift_checks_share_one_passed_type(tmp_path):
