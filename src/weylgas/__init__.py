@@ -13,27 +13,20 @@ __version__ = "0.1.0"
 from .besq import (BesqSpec, besq_exact_transition, besq_hit_probability,
                    besq_zero_dimension)
 from .collisions import (CollisionEvent, DimensionEstimate, EnsembleCollector,
-                         box_counting_dimension, box_counts,
-                         detect_collision_events, dyadic_scales,
-                         fit_box_dimension, min_projection_series,
-                         multiple_collision_scaling, time_change_theta,
-                         zero_set)
+                         box_counts, detect_collision_events, dyadic_scales,
+                         fit_box_dimension)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .engine import (EnsembleResult, StepPolicy, TrajectoryRecord,
-                     advance_step, boundary_entry_push, e_poly_drift,
-                     log_e_drift_components, mc_drift_estimate,
-                     simulate_ensemble, simulate_trajectory)
-from .models import (AssumptionReport, BoundConstants, CoefficientModel,
-                     DimensionBounds, chamber_grid, compute_bound_constants,
-                     dimension_bound_predictor, make_preset,
-                     validate_assumptions, wishart_param_map,
+                     boundary_entry_push, e_poly_drift, log_e_drift_components,
+                     mc_drift_estimate, simulate_ensemble, simulate_trajectory)
+from .models import (BoundConstants, CoefficientModel, DimensionBounds,
+                     chamber_grid, compute_bound_constants,
+                     dimension_bound_predictor, make_preset, wishart_param_map,
                      wishart_param_map_inverse)
-from .roots import (ChamberLocation, RootSystem, WeightedProjectionSet,
-                    build_root_system, chamber_classify, decompose_simple,
-                    reflect, reflection_pairs, resolve_weights,
-                    root_order_leq, simple_support, weighted_projections)
+from .roots import (ChamberLocation, RootSystem, build_root_system,
+                    chamber_classify, decompose_simple, reflect,
+                    reflection_pairs, resolve_weights)
 from .rng import derive_key, trajectory_generator
-from .runner import (reanalyze_dimension, rerun_from_manifest, run_simulate,
-                     run_sweep, run_verify)
+from .runner import reanalyze_dimension, run_simulate, run_sweep, run_verify
 from .sympoly import (elementary, elementary_excluding, elementary_rows,
                       residual_e_form2, residual_reflection_identities)

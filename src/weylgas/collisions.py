@@ -1,11 +1,9 @@
-"""Collision detection, multiple-collision scaling tests, zero-set
-extraction, box-counting dimension estimation, and the projection time
-change.
+"""Collision detection and box-counting dimension estimation.
 
-One run finder, ``_event_runs``, decides what an event is.  The pure
-functions over a ``TrajectoryRecord`` (small runs, tests) call it on one
-recorded path; the streaming ``EnsembleCollector`` calls it on each batch
-of accepted steps while a vectorized ensemble integrates, without storing
+One run finder, ``_event_runs``, decides what an event is.
+``detect_collision_events`` (small runs, tests) calls it on one recorded
+path; the streaming ``EnsembleCollector`` calls it on each batch of
+accepted steps while a vectorized ensemble integrates, without storing
 paths.
 """
 
@@ -17,38 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import TrajectoryRecord
-from .models import CoefficientModel
 from .roots import Root, RootSystem, resolve_weights
 from .sympoly import elementary_rows
-
-
-@dataclass(frozen=True)
-class MinProjectionSeries:
-    """Per-sample smallest and second-smallest weighted projections."""
-
-    times: np.ndarray
-    argmin: np.ndarray  # index into R.positive_roots
-    min_values: np.ndarray
-    second_values: np.ndarray
-
-
-def _weighted_proj_matrix(traj: TrajectoryRecord, R: RootSystem, w) -> np.ndarray:
-    weights = resolve_weights(R, w)
-    return traj.states @ (R.positive_matrix / weights[:, None]).T
-
-
-def min_projection_series(traj: TrajectoryRecord, R: RootSystem, w=None) -> MinProjectionSeries:
-    """Smallest and runner-up weighted projections along a trajectory."""
-    wproj = _weighted_proj_matrix(traj, R, w)
-    order = np.argsort(wproj, axis=1)
-    amin = order[:, 0]
-    rows = np.arange(len(wproj))
-    return MinProjectionSeries(
-        times=traj.times,
-        argmin=amin,
-        min_values=wproj[rows, amin],
-        second_values=wproj[rows, order[:, 1]] if R.M > 1 else np.full(len(wproj), np.inf),
-    )
 
 
 @dataclass(frozen=True)
@@ -105,24 +73,6 @@ def _event_runs(minv, wproj, first, eps):
     return es, rs, re, imin, (rmin < eps[es]).sum(axis=1), rmin.argmin(axis=1)
 
 
-def _path_runs(traj: TrajectoryRecord, R: RootSystem, w, eps: float):
-    """The events of one path: its weighted projections, their row minimum,
-    and per run the entry and exit times interpolated on that minimum,
-    then the first-minimum row, order and deepest root of ``_event_runs``."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    wproj = _weighted_proj_matrix(traj, R, w)
-    minv = wproj.min(axis=1)
-    _, s, e, imin, order, amin = _event_runs(
-        minv, wproj, np.arange(minv.size) == 0, np.array([[eps]]))
-    times = traj.times
-    # a run at the first or last row meets a flat step there: that row's time
-    sp, en = np.maximum(s - 1, 0), np.minimum(e + 1, len(times) - 1)
-    t_in = _interp_crossing(times[sp], minv[sp], times[s], minv[s], eps)
-    t_out = _interp_crossing(times[e], minv[e], times[en], minv[en], eps)
-    return wproj, minv, t_in, t_out, imin, order, amin
-
-
 def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
                             eps: float = 1e-4) -> list[CollisionEvent]:
     """Find all boundary approaches below eps along one trajectory.
@@ -133,10 +83,19 @@ def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
     tau_n (weighted e_n falling below eps^(2*(M-n+1))) are attached to the
     event containing them.
     """
-    wproj, minv, t_in, t_out, imin, order, amin = _path_runs(traj, R, w, eps)
-    if not t_in.size:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    wproj = traj.states @ (R.positive_matrix / resolve_weights(R, w)[:, None]).T
+    minv = wproj.min(axis=1)
+    _, s, e, imin, order, amin = _event_runs(
+        minv, wproj, np.arange(minv.size) == 0, np.array([[eps]]))
+    if not s.size:
         return []
     times = traj.times
+    # a run at the first or last row meets a flat step there: that row's time
+    sp, en = np.maximum(s - 1, 0), np.minimum(e + 1, len(times) - 1)
+    t_in = _interp_crossing(times[sp], minv[sp], times[s], minv[s], eps)
+    t_out = _interp_crossing(times[e], minv[e], times[en], minv[en], eps)
     rows = wproj[imin]
     second = np.partition(rows, 1, axis=1)[:, 1] if R.M > 1 else np.inf
     second_gap = second - minv[imin]  # inf for a single root
@@ -163,44 +122,6 @@ def detect_collision_events(traj: TrajectoryRecord, R: RootSystem, w=None,
             minv[imin].tolist(), amin.tolist(), rows, order.tolist(),
             second_gap.tolist())
     ]
-
-
-def multiple_collision_scaling(ensemble: Sequence[TrajectoryRecord], R: RootSystem,
-                               w=None, eps_grid: Sequence[float] = (1e-2, 1e-3, 1e-4)):
-    """Per-eps fraction of trajectories with simple and multiple events.
-
-    Returns rows (eps, order-1 rate, order->=2 rate).  Under the
-    no-multiple-collision theorem the second column vanishes as eps -> 0
-    while the first stabilizes for models that do collide.
-    """
-    if len(ensemble) == 0:
-        raise ValueError("ensemble must be non-empty")
-    eps = np.array(eps_grid, dtype=float).reshape(-1, 1)
-    if (eps <= 0).any():
-        raise ValueError("eps must be positive")
-    any1 = np.zeros(len(eps), dtype=np.int64)
-    any2 = np.zeros(len(eps), dtype=np.int64)
-    for traj in ensemble:
-        wproj = _weighted_proj_matrix(traj, R, w)
-        es, *_, order, _ = _event_runs(wproj.min(axis=1), wproj,
-                                       np.arange(len(wproj)) == 0, eps)
-        any1[np.unique(es[order == 1])] += 1
-        any2[np.unique(es[order >= 2])] += 1
-    P = len(ensemble)
-    return [(e, n1 / P, n2 / P)
-            for e, n1, n2 in zip(eps[:, 0].tolist(), any1.tolist(), any2.tolist())]
-
-
-def zero_set(traj: TrajectoryRecord, R: RootSystem, w=None,
-             eps: float = 1e-4) -> list[tuple[float, float]]:
-    """Times where the smallest weighted projection is below eps.
-
-    Returned as a sorted list of disjoint (t_in, t_out) intervals; nested
-    in eps (smaller eps gives a subset).  These are the ``t_in``, ``t_out``
-    of ``detect_collision_events``, without its tau markers and events.
-    """
-    _, _, t_in, t_out, *_ = _path_runs(traj, R, w, eps)
-    return list(zip(t_in.tolist(), t_out.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +206,6 @@ def fit_box_dimension(counts: dict[float, int], T: float,
         scale_window=(min(occupied), max(occupied)),
         counts=counts, slope=slope, stderr=stderr, n_samples=n_samples,
     )
-
-
-def box_counting_dimension(intervals: Sequence[tuple[float, float]], T: float,
-                           scales: Sequence[float]) -> DimensionEstimate:
-    """Box-counting dimension of a union of time intervals in [0, T]."""
-    if len(scales) < 2:
-        raise ValueError("need at least two scales")
-    return fit_box_dimension(box_counts(intervals, scales, T), T)
-
-
-def time_change_theta(traj: TrajectoryRecord, model: CoefficientModel,
-                      R: RootSystem, beta: Sequence[int]):
-    """Trapezoid samples of the projection time change for a simple root.
-
-    Returns (times, theta, c_min, c_max) where theta(t) integrates
-    C_beta = sum_i (beta*_i)^2 sigma^2(x_i) with beta* = beta/|beta|;
-    (c_min, c_max) are the bi-Lipschitz bounds observed along the path.
-    """
-    beta = tuple(beta)
-    if beta not in R.simple_roots:
-        raise ValueError("beta must be a simple root")
-    bstar = np.asarray(beta, dtype=float)
-    bstar = bstar / np.linalg.norm(bstar)
-    c = model.sigma(traj.states) ** 2 @ bstar**2
-    dt = np.diff(traj.times)
-    theta = np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] + c[:-1]) * dt)])
-    return traj.times, theta, float(c.min()), float(c.max())
 
 
 # ---------------------------------------------------------------------------

@@ -112,30 +112,6 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
     return prop, prop_proj, prop_min, None if inside else prop_min > 0.0
 
 
-def advance_step(x: Sequence[float], model: CoefficientModel, R: RootSystem,
-                 dt: float, noise: Sequence[float]) -> Optional[np.ndarray]:
-    """One explicit Euler-Maruyama proposal from an interior state.
-
-    Returns the new configuration, or None when the proposal leaves the
-    closed chamber (the caller halves dt and retries with fresh noise).
-    Raises on a vanishing projection with positive coupling, where the
-    drift is singular; boundary starts must use the entry push instead.
-    The increment is summed first and then added to x, the same rounding
-    as ``simulate_ensemble``.
-    """
-    xs = np.asarray(x, dtype=float)[None, :]
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    proj = xs @ R.positive_matrix.T
-    if np.any((proj == 0) & (model.coupling_values(xs, R) > 0)):
-        raise ZeroDivisionError(
-            "singular drift: vanishing projection with positive coupling"
-        )
-    prop, _, _, ok = _propose(model, R, xs, proj, np.array([float(dt)]),
-                              np.asarray(noise, dtype=float)[None, :])
-    return prop[0] if ok is None else None
-
-
 def boundary_entry_push(x: Sequence[float], model: CoefficientModel,
                         R: RootSystem) -> np.ndarray:
     """Deterministic push off the chamber boundary.

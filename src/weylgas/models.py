@@ -1,6 +1,6 @@
 """Coefficient models (diffusion, background drift, repulsion coupling)
-for the particle SDE, preset catalogue, assumption checks, and the
-closed-form / grid-based collision-dimension predictor.
+for the particle SDE, preset catalogue, and the closed-form / grid-based
+collision-dimension predictor.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .roots import RootSystem, decompose_simple, root_order_leq
+from .roots import RootSystem
 
 PRESETS = ("dyson", "bessel_general", "bessel_b", "wishart", "jacobi", "custom")
 
@@ -30,7 +30,7 @@ class CoefficientModel:
     coupling: Callable[[np.ndarray, RootSystem], np.ndarray]
     preset: str = "custom"
     params: dict = field(default_factory=dict)
-    # declared structural flags (A2/A3); sampling can check but not prove them
+    # declared structural flags (A2/A3), which the predictor trusts
     monotone_drift: bool = False
     monotone_coupling: bool = False
     bounded_ratios: bool = True
@@ -245,109 +245,6 @@ def chamber_grid(R: RootSystem, n_points: int = 4096, scale: float = 1.0,
     proj = pts @ R.positive_matrix.T
     keep = np.all(proj > 0, axis=1)
     return pts[keep]
-
-
-def _dominance_leq(alpha, beta, R: RootSystem) -> bool:
-    """Comparable for the ratio inequality: support inclusion plus
-    beta - alpha in the nonnegative span of the simple roots.
-
-    The second condition is what makes <x, alpha> <= <x, beta> on the
-    closed chamber; support inclusion alone would declare e_j and
-    e_j + e_i mutually comparable in type B, where the projections are
-    not ordered.
-    """
-    if not root_order_leq(alpha, beta, R):
-        return False
-    diff = tuple(b - a for a, b in zip(alpha, beta))
-    try:
-        coeffs = decompose_simple(diff, R)
-    except ValueError:
-        return False
-    return all(c >= 0 for c in coeffs)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Sampling-based check of the structural assumptions on a grid.
-
-    A pass is evidence, not proof: only the supplied grid points are tested.
-    """
-
-    positivity_ok: bool
-    drift_ok: Optional[bool]
-    coupling_ok: Optional[bool]
-    witnesses: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(
-            self.positivity_ok
-            and self.drift_ok is not False
-            and self.coupling_ok is not False
-        )
-
-
-def validate_assumptions(model: CoefficientModel, R: RootSystem,
-                         grid: np.ndarray) -> AssumptionReport:
-    """Check positivity, drift monotonicity, and coupling monotonicity.
-
-    Positivity (sigma > 0, k_alpha > 0) is always checked.  The drift
-    inequality sum_i alpha_i b(x_i) <= 0 over simple roots and the coupling
-    ratio inequality k_alpha/<x,alpha> >= k_beta/<x,beta> for comparable
-    non-orthogonal root pairs are checked on the grid; failures come with a
-    witnessing point.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be non-empty")
-    witnesses: dict = {}
-    tol = 1e-12
-
-    sig = model.sigma(grid)
-    kvals = model.coupling_values(grid, R)
-    positivity_ok = True
-    if np.any(sig <= 0):
-        positivity_ok = False
-        witnesses["sigma"] = grid[np.argwhere(sig <= 0)[0][0]].tolist()
-    if np.any(kvals <= 0):
-        positivity_ok = False
-        witnesses["coupling_positive"] = grid[np.argwhere(kvals <= 0)[0][0]].tolist()
-
-    bvals = model.drift_b(grid)
-    drift_ok = True
-    for beta in R.simple_roots:
-        s = bvals @ np.asarray(beta, dtype=float)
-        bad = np.flatnonzero(s > tol)
-        if bad.size:
-            drift_ok = False
-            witnesses["drift"] = {"root": list(beta), "point": grid[bad[0]].tolist()}
-            break
-
-    proj = grid @ R.positive_matrix.T
-    coupling_ok = True
-    for ia in range(R.M):
-        for ib in range(R.M):
-            if ia == ib:
-                continue
-            alpha, beta = R.positive_roots[ia], R.positive_roots[ib]
-            if np.dot(alpha, beta) == 0:
-                continue
-            if not _dominance_leq(alpha, beta, R):
-                continue
-            lhs = kvals[:, ia] / proj[:, ia]
-            rhs = kvals[:, ib] / proj[:, ib]
-            bad = np.flatnonzero(lhs < rhs - tol * np.maximum(1.0, np.abs(rhs)))
-            if bad.size:
-                coupling_ok = False
-                witnesses["coupling"] = {
-                    "alpha": list(alpha), "beta": list(beta),
-                    "point": grid[bad[0]].tolist(),
-                }
-                break
-        if not coupling_ok:
-            break
-
-    return AssumptionReport(positivity_ok, drift_ok, coupling_ok, witnesses)
 
 
 @dataclass(frozen=True)

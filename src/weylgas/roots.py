@@ -204,20 +204,6 @@ def decompose_simple(alpha: Sequence[int], R: RootSystem) -> tuple[Fraction, ...
     return tuple(coeffs)
 
 
-def simple_support(alpha: Sequence[int], R: RootSystem) -> frozenset[int]:
-    """Indices of simple roots appearing in the decomposition of ``alpha``."""
-    coeffs = decompose_simple(alpha, R)
-    return frozenset(i for i, c in enumerate(coeffs) if c != 0)
-
-
-def root_order_leq(alpha: Sequence[int], beta: Sequence[int], R: RootSystem) -> bool:
-    """Partial root ordering: support(alpha) subseteq support(beta)."""
-    a, b = tuple(alpha), tuple(beta)
-    if a not in R.positive_roots or b not in R.positive_roots:
-        raise ValueError("both roots must belong to the positive system")
-    return simple_support(a, R) <= simple_support(b, R)
-
-
 def reflection_pairs(beta: Sequence[int], R: RootSystem) -> tuple[tuple[Root, Root], ...]:
     """Pairs (alpha, gamma) with gamma = +/- reflect(beta, alpha) in R_+.
 
@@ -276,20 +262,6 @@ def chamber_classify(x: Sequence[float], R: RootSystem, tol: float = 0.0) -> Cha
     )
 
 
-@dataclass(frozen=True)
-class WeightedProjectionSet:
-    """Projections of a configuration onto weight-normalized positive roots.
-
-    For each positive root alpha the pair (<x,alpha>, <x,alpha*>^2) is kept,
-    where alpha* = alpha / w_alpha.  Positive weights never change which
-    projections vanish.
-    """
-
-    weights: tuple[float, ...]
-    raw: tuple[float, ...]
-    squared: tuple[float, ...]
-
-
 def resolve_weights(R: RootSystem, w) -> np.ndarray:
     """Normalize a weight spec to a positive (M,) array.
 
@@ -311,12 +283,3 @@ def resolve_weights(R: RootSystem, w) -> np.ndarray:
     if np.any(arr <= 0):
         raise ValueError("weights must be strictly positive")
     return arr
-
-
-def weighted_projections(x: Sequence[float], R: RootSystem, w=None) -> WeightedProjectionSet:
-    """Compute <x,alpha> and <x,alpha*>^2 for every positive root."""
-    weights = resolve_weights(R, w)
-    x = np.asarray(x, dtype=float)
-    raw = R.positive_matrix @ x
-    sq = (raw / weights) ** 2
-    return WeightedProjectionSet(tuple(weights), tuple(raw), tuple(sq))

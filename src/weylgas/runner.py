@@ -276,14 +276,6 @@ def default_run_dir(cfg: RunConfig) -> Path:
     return Path(root) / f"run_{config_digest(cfg.raw)}"
 
 
-def rerun_from_manifest(manifest_path, out_dir=None, workers=None) -> dict:
-    """Re-execute a run from its manifest alone."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    cfg = parse_config(manifest["config"])
-    return run_simulate(cfg, out_dir=out_dir, workers=workers)
-
-
 def reanalyze_dimension(run_dir, eps=None, scales=None) -> dict:
     """Recompute the box-counting estimate from a persisted run directory.
 
@@ -468,24 +460,31 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(sup)
 
 
+_ORACLE_Z = 4.0  # standard errors at which each sampling check of the oracle fails
+
+
 def _verify_oracle(rng: np.random.Generator) -> dict:
     """BESQ oracle self-checks: moments, additivity, hitting law.
 
-    The exact transition's mean x0 + delta t and variance 2 delta t^2 +
-    4 x0 t fail beyond 3 and 4 standard errors (the variance's from the
-    sample's fourth central moment).  Additivity compares BESQ(d1, x1) +
-    BESQ(d2, x2) with BESQ(d1 + d2, x1 + x2) by ``_ks_distance`` (numpy
-    only: no ``scipy.stats``), which fails at 0.01 or more.
+    Four checks compare a sample mean with an exact value: the exact
+    transition's mean x0 + delta t and variance 2 delta t^2 + 4 x0 t (its
+    standard error from the sample's fourth central moment) and two hitting
+    probabilities.  Each fails beyond ``_ORACLE_Z`` = 4 standard errors,
+    which a correct sampler exceeds with probability 6.3e-5, so a correct
+    program fails a run by chance at most 4 x 6.3e-5 = 2.5e-4 of the time
+    (Bonferroni).  Additivity compares BESQ(d1, x1) + BESQ(d2, x2) with
+    BESQ(d1 + d2, x1 + x2) by ``_ks_distance`` (numpy only: no
+    ``scipy.stats``), which fails at 0.01 or more.
 
     The hitting law is checked by the Doob h-transform, an exact identity:
     for 0 < delta < 2 and nu = 1 - delta/2, BESQ(4 - delta) is BESQ(delta)
     conditioned by the harmonic h(x) = x^nu (Revuz & Yor, ch. XI), so
     P(T0 > t) = x0^nu E[X_t^-nu] with X ~ BESQ(4 - delta) from x0, drawn
-    exactly.  Nothing is discretized, so ``besq_hit_probability`` fails
-    beyond 4 standard errors with no bias term.  (delta, x0, t) = (1, 1, 1)
-    and (1.5, 3, 1) test the series and the continued-fraction branch of
-    ``besq._gamma_q``; each is reported in ``checks``.  The absorbing-Euler
-    cross-check of the same law lives in the test suite.
+    exactly.  Nothing is discretized, so the bound needs no bias term.
+    (delta, x0, t) = (1, 1, 1) and (1.5, 3, 1) test the series and the
+    continued-fraction branch of ``besq._gamma_q``; each is reported in
+    ``checks``.  The absorbing-Euler cross-check of the same law lives in
+    the test suite.
     """
     failures, checks = [], []
     n = 100_000
@@ -493,13 +492,13 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
     draws = besq_exact_transition(spec, t, size=n, seed=rng)
     mean = draws.mean()
     mean_err = abs(mean - (spec.x0 + spec.delta * t))
-    if mean_err > 3.0 * draws.std() / np.sqrt(n):
+    if mean_err > _ORACLE_Z * draws.std() / np.sqrt(n):
         failures.append(f"transition mean off by {mean_err:g}")
     draws -= mean
     draws *= draws  # squared deviations
     var = draws.mean()
     var_err = abs(var - (2.0 * spec.delta * t**2 + 4.0 * spec.x0 * t))
-    if var_err > 4.0 * np.sqrt((draws @ draws / n - var**2) / n):
+    if var_err > _ORACLE_Z * np.sqrt((draws @ draws / n - var**2) / n):
         failures.append(f"transition variance off by {var_err:g}")
     del draws
 
@@ -518,7 +517,7 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
         w **= -nu
         w *= x0**nu  # unbiased for P(T0 > t)
         p_mc, se = 1.0 - float(w.mean()), float(w.std() / np.sqrt(n))
-        ok = abs(p_mc - p_exact) <= 4.0 * se
+        ok = abs(p_mc - p_exact) <= _ORACLE_Z * se
         checks.append({"delta": delta, "x0": x0, "t": t, "p_exact": p_exact,
                        "p_mc": p_mc, "stderr": se, "passed": ok})
         if not ok:

@@ -23,7 +23,7 @@ from weylgas.engine import (StepPolicy, e_poly_drift, log_e_drift_components,
                             mc_drift_estimate, simulate_ensemble)
 from weylgas.models import chamber_grid, make_preset, wishart_param_map
 from weylgas.roots import build_root_system, reflect
-from weylgas.runner import rerun_from_manifest, run_simulate
+from weylgas.runner import run_simulate
 from weylgas.sympoly import (elementary, elementary_excluding,
                              elementary_rows, residual_e_form2,
                              residual_reflection_identities)
@@ -363,8 +363,9 @@ def test_acceptance_10_reproducibility(tmp_path):
     run_simulate(parse_config(doc), out_dir=base, workers=1)
     blob = (base / "summary.json").read_bytes()
     assert json.loads(blob)["seed"] == 1000
+    manifest = json.loads((base / "manifest.json").read_text())
     for workers in (2, 3):
         again = tmp_path / f"w{workers}"
-        rerun_from_manifest(base / "manifest.json", out_dir=again,
-                            workers=workers)
+        run_simulate(parse_config(manifest["config"]), out_dir=again,
+                     workers=workers)
         assert (again / "summary.json").read_bytes() == blob

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 import weylgas.collisions as collisions
 import weylgas.engine as engine
-from weylgas.collisions import (CollisionEvent, EnsembleCollector,
-                                box_counting_dimension,
-                                box_counts, detect_collision_events,
-                                dyadic_scales, fit_box_dimension,
-                                min_projection_series,
-                                multiple_collision_scaling,
-                                time_change_theta, zero_set)
+from weylgas.collisions import (CollisionEvent, EnsembleCollector, box_counts,
+                                detect_collision_events, dyadic_scales,
+                                fit_box_dimension)
 from weylgas.engine import StepPolicy, TrajectoryRecord, simulate_ensemble
 from weylgas.models import make_preset
 from weylgas.roots import build_root_system
@@ -23,16 +19,6 @@ def _record(times, states):
     return TrajectoryRecord(times=times, states=states,
                             step_sizes=np.diff(times),
                             master_seed=0, traj_index=0)
-
-
-def test_min_projection_series_static():
-    R = build_root_system("A", 3)
-    rec = _record([0.0, 1.0], [[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]])
-    # positive roots ordered e2-e1, e3-e1, e3-e2: projections (1, 3, 2)
-    s = min_projection_series(rec, R)
-    assert np.array_equal(s.min_values, [1.0, 1.0])
-    assert np.array_equal(s.second_values, [2.0, 2.0])
-    assert np.array_equal(s.argmin, [0, 0])
 
 
 def test_detect_events_triangle_dip():
@@ -63,11 +49,10 @@ def test_detect_events_multiple_and_nesting():
     ev_big = detect_collision_events(rec, R, eps=0.1)
     ev_small = detect_collision_events(rec, R, eps=0.01)
     assert len(ev_big) == 2 and len(ev_small) == 1
-    # eps-nesting of the zero sets
-    zs_big = zero_set(rec, R, eps=0.1)
-    zs_small = zero_set(rec, R, eps=0.01)
-    for a, b in zs_small:
-        assert any(a >= c - 1e-12 and b <= d + 1e-12 for c, d in zs_big)
+    # eps-nesting of the event intervals
+    for small in ev_small:
+        assert any(small.t_in >= big.t_in - 1e-12 and small.t_out <= big.t_out + 1e-12
+                   for big in ev_big)
 
 
 def test_detect_events_order_two():
@@ -85,20 +70,6 @@ def test_detect_events_validates_eps():
     with pytest.raises(ValueError):
         detect_collision_events(rec, R, eps=0.0)
     assert detect_collision_events(rec, R, eps=0.1) == []
-
-
-def test_multiple_collision_scaling_shape():
-    R = build_root_system("A", 2)
-    recs = [_record([0.0, 1.0, 2.0],
-                    [[-1.0, 1.0], [-v, v], [-1.0, 1.0]])
-            for v in (0.001, 0.02, 0.5)]
-    rows = multiple_collision_scaling(recs, R, eps_grid=(1e-1, 1e-2))
-    assert rows[0][0] == 0.1
-    assert rows[0][1] == pytest.approx(2 / 3)
-    assert rows[1][1] == pytest.approx(1 / 3)
-    assert rows[0][2] == rows[1][2] == 0.0
-    with pytest.raises(ValueError):
-        multiple_collision_scaling([], R)
 
 
 def test_detect_events_edges_exact():
@@ -130,59 +101,6 @@ def test_interp_crossing_flat_step():
     t = collisions._interp_crossing(np.array([2.0, 2.0]), np.array([0.5, 0.5]),
                                     np.array([3.0, 3.0]), np.array([0.5, 0.25]), 0.375)
     assert t.tolist() == [2.0, 2.5]
-
-
-def _scaling_reference(ensemble, R, eps_grid):
-    """multiple_collision_scaling as full event detection once per eps."""
-    rows = []
-    for eps in eps_grid:
-        any1 = any2 = 0
-        for rec in ensemble:
-            orders = [ev.order for ev in detect_collision_events(rec, R, eps=eps)]
-            any1 += any(o == 1 for o in orders)
-            any2 += any(o >= 2 for o in orders)
-        rows.append((float(eps), any1 / len(ensemble), any2 / len(ensemble)))
-    return rows
-
-
-@pytest.mark.parametrize("preset, params, family, x0", [
-    ("dyson", {"k": 0.15}, "A", [-0.1, 0.1]),
-    ("dyson", {"k": 0.25}, "A", [-0.1, 0.0, 0.1]),
-    ("bessel_b", {"k1": 0.1, "k2": 0.4}, "B", [0.05, 0.1]),
-], ids=["A2", "A3", "B2"])
-def test_multiple_collision_scaling_matches_per_eps_detection(preset, params, family, x0):
-    R = build_root_system(family, len(x0))
-    res = simulate_ensemble(make_preset(preset, **params), R, np.array(x0), 0.2,
-                            StepPolicy(dt_max=1e-3), 3, n_paths=12, record=True)
-    eps_grid = (0.1, 0.05, 0.01, 0.001)
-    rows = multiple_collision_scaling(res.records, R, eps_grid=eps_grid)
-    assert rows == _scaling_reference(res.records, R, eps_grid)
-    assert rows[0][1] > 0
-    for bad in (0.0, -0.01):
-        with pytest.raises(ValueError):
-            multiple_collision_scaling(res.records, R, eps_grid=(0.1, bad))
-
-
-@pytest.mark.parametrize("preset, params, family, x0", [
-    ("dyson", {"k": 0.15}, "A", [-0.1, 0.1]),
-    ("dyson", {"k": 0.25}, "A", [-0.1, 0.0, 0.1]),
-    ("bessel_b", {"k1": 0.1, "k2": 0.4}, "B", [0.05, 0.1]),
-], ids=["A2", "A3", "B2"])
-def test_zero_set_equals_event_edges(preset, params, family, x0):
-    """zero_set skips the events and tau markers but keeps their edges,
-    as exact floats."""
-    R = build_root_system(family, len(x0))
-    res = simulate_ensemble(make_preset(preset, **params), R, np.array(x0), 0.2,
-                            StepPolicy(dt_max=1e-3), 4, n_paths=8, record=True)
-    n_events = 0
-    for rec in res.records:
-        for eps in (0.1, 0.01, 1e-3):
-            events = detect_collision_events(rec, R, eps=eps)
-            assert zero_set(rec, R, eps=eps) == [(e.t_in, e.t_out) for e in events]
-            n_events += len(events)
-    assert n_events > 0
-    with pytest.raises(ValueError):
-        zero_set(res.records[0], R, eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +173,21 @@ def test_box_counts_pooled_equals_sum_of_path_loops(paths, scales, T):
 
 
 def test_dimension_point_is_zero():
-    scales = dyadic_scales(1.0, 8)
-    est = box_counting_dimension([(0.5, 0.5)], 1.0, scales)
+    est = fit_box_dimension(box_counts([(0.5, 0.5)], dyadic_scales(1.0, 8), 1.0), 1.0)
     assert est.value == pytest.approx(0.0, abs=1e-12)
     assert est.flag == ""
 
 
 def test_dimension_full_interval_is_one():
-    scales = dyadic_scales(1.0, 8)
-    est = box_counting_dimension([(0.0, 1.0)], 1.0, scales)
+    est = fit_box_dimension(box_counts([(0.0, 1.0)], dyadic_scales(1.0, 8), 1.0), 1.0)
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dimension_empty_and_undefined():
-    est = box_counting_dimension([], 1.0, dyadic_scales(1.0, 4))
+    est = fit_box_dimension(box_counts([], dyadic_scales(1.0, 4), 1.0), 1.0)
     assert est.flag == "empty" and est.value == 0.0
-    with pytest.raises(ValueError):
-        box_counting_dimension([(0.0, 1.0)], 1.0, [0.5])
+    est = fit_box_dimension(box_counts([(0.0, 1.0)], [0.5], 1.0), 1.0)
+    assert est.flag == "undefined" and est.value == 0.0
 
 
 def _cantor_intervals(levels: int):
@@ -290,7 +206,7 @@ def test_dimension_cantor_set():
     """The middle-thirds Cantor set has box dimension log 2 / log 3."""
     ivs = _cantor_intervals(13)
     scales = [2.0**-j for j in range(4, 13)]
-    est = box_counting_dimension(ivs, 1.0, scales)
+    est = fit_box_dimension(box_counts(ivs, scales, 1.0), 1.0)
     assert est.value == pytest.approx(np.log(2) / np.log(3), abs=0.05)
     assert est.stderr < 0.05
 
@@ -301,44 +217,6 @@ def test_fit_reports_stderr_and_window():
     assert est.slope == pytest.approx(1.0)
     assert est.stderr == pytest.approx(0.0, abs=1e-10)
     assert est.scale_window == (0.125, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# time change
-# ---------------------------------------------------------------------------
-
-
-def test_time_change_unit_sigma():
-    R = build_root_system("B", 2)
-    m = make_preset("bessel_b", k1=0.5, k2=0.5)
-    rec = _record(np.linspace(0.0, 2.0, 21),
-                  np.tile([0.3, 1.0], (21, 1)))
-    t, theta, cmin, cmax = time_change_theta(rec, m, R, (1, 0))
-    # sigma = 1 and |beta*| = 1 so theta(t) = t
-    assert np.allclose(theta, t)
-    assert cmin == cmax == pytest.approx(1.0)
-
-
-def test_time_change_scaled_sigma():
-    R = build_root_system("B", 2)
-    m = make_preset(
-        "custom",
-        sigma=lambda y: np.full_like(y, 2.0),
-        drift_b=lambda y: np.zeros_like(y),
-        coupling=lambda x, R_: np.full(x.shape[:-1] + (R_.M,), 0.5),
-    )
-    rec = _record([0.0, 1.0], [[0.3, 1.0], [0.3, 1.0]])
-    _, theta, cmin, cmax = time_change_theta(rec, m, R, (1, 0))
-    assert theta[-1] == pytest.approx(4.0)
-    assert cmin == cmax == pytest.approx(4.0)
-
-
-def test_time_change_rejects_non_simple():
-    R = build_root_system("B", 2)
-    m = make_preset("bessel_b", k1=0.5, k2=0.5)
-    rec = _record([0.0, 1.0], [[0.3, 1.0], [0.3, 1.0]])
-    with pytest.raises(ValueError):
-        time_change_theta(rec, m, R, (1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import weylgas.engine as engine
 from weylgas.collisions import EnsembleCollector, dyadic_scales
-from weylgas.engine import (_CHUNK_ROWS, StepPolicy, _propose, advance_step,
+from weylgas.engine import (_CHUNK_ROWS, StepPolicy, _propose,
                             boundary_entry_push, e_poly_drift,
                             log_e_drift_components, mc_drift_estimate,
                             simulate_ensemble, simulate_trajectory)
@@ -27,26 +27,28 @@ def test_step_policy_validation():
         StepPolicy(dt_min=1e-2, dt_max=1e-3)
 
 
+def _propose_one(model, R, x, dt, noise):
+    """One Euler-Maruyama step of ``_propose`` from one state: the proposal
+    and the inside mask (None when the proposal is inside)."""
+    xs = np.array([x], dtype=float)
+    prop, _, _, ok = _propose(model, R, xs, xs @ R.positive_matrix.T,
+                              np.array([dt]), np.array([noise], dtype=float))
+    return prop[0], ok
+
+
 def test_advance_step_hand_value(dyson2):
     model, R = dyson2
     # x = (-1, 1), zero noise, dt = 0.01: drift = k/2 * (-1, 1)
-    out = advance_step([-1.0, 1.0], model, R, 0.01, [0.0, 0.0])
-    assert out == pytest.approx([-1.0025, 1.0025])
+    prop, ok = _propose_one(model, R, [-1.0, 1.0], 0.01, [0.0, 0.0])
+    assert ok is None
+    assert prop == pytest.approx([-1.0025, 1.0025])
 
 
 def test_advance_step_rejects_wall_crossing(dyson2):
     model, R = dyson2
     # noise large enough to swap the particles
-    out = advance_step([-0.01, 0.01], model, R, 1e-2, [5.0, -5.0])
-    assert out is None
-
-
-def test_advance_step_singular_start(dyson2):
-    model, R = dyson2
-    with pytest.raises(ZeroDivisionError):
-        advance_step([0.0, 0.0], model, R, 1e-3, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        advance_step([-1.0, 1.0], model, R, 0.0, [0.0, 0.0])
+    _, ok = _propose_one(model, R, [-0.01, 0.01], 1e-2, [5.0, -5.0])
+    assert ok.tolist() == [False]
 
 
 def test_boundary_entry_push(dyson2):

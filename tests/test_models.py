@@ -3,8 +3,7 @@ import pytest
 
 from weylgas.models import (ConstantCoupling, chamber_grid, compute_bound_constants,
                             dimension_bound_predictor, make_preset,
-                            validate_assumptions, wishart_param_map,
-                            wishart_param_map_inverse)
+                            wishart_param_map, wishart_param_map_inverse)
 from weylgas.roots import build_root_system
 
 
@@ -155,56 +154,6 @@ def test_chamber_grid_interior():
         assert g.shape[1] == N
         assert len(g) > 400
         assert np.all(g @ R.positive_matrix.T > 0)
-
-
-def test_validate_assumptions_presets_pass():
-    R = build_root_system("B", 3)
-    g = chamber_grid(R, 1000, seed=2)
-    # equal constants give the reflection-invariant multivariate Bessel,
-    # which satisfies the coupling ratio inequality
-    rep = validate_assumptions(make_preset("bessel_b", k1=0.5, k2=0.5), R, g)
-    assert rep.positivity_ok and rep.all_ok
-    RA = build_root_system("A", 3)
-    gA = chamber_grid(RA, 1000, seed=3)
-    assert validate_assumptions(make_preset("dyson", k=0.2), RA, gA).all_ok
-    gJ = chamber_grid(RA, 1000, scale=0.9, seed=3)  # inside (-1, 1)
-    rep = validate_assumptions(
-        make_preset("jacobi", k=1.0, p=5.0, q=5.0, N=3), RA, gJ)
-    assert rep.coupling_ok and rep.all_ok
-
-
-def test_validate_assumptions_detects_a2_failure():
-    bad = make_preset(
-        "custom",
-        sigma=lambda y: np.ones_like(y),
-        drift_b=lambda y: np.ones_like(y),  # pushes the last particle up
-        coupling=lambda x, R: np.full(x.shape[:-1] + (R.M,), 0.5),
-    )
-    R = build_root_system("B", 2)
-    g = chamber_grid(R, 200, seed=4)
-    rep = validate_assumptions(bad, R, g)
-    assert rep.drift_ok is False
-    assert "drift" in rep.witnesses
-    with pytest.raises(ValueError):
-        validate_assumptions(bad, R, np.empty((0, 2)))
-
-
-def test_validate_assumptions_detects_a3_failure():
-    # coupling increasing along the root order violates the ratio inequality
-    def coupling(x, R):
-        proj = x @ R.positive_matrix.T
-        return proj**2 + 0.1
-
-    bad = make_preset(
-        "custom",
-        sigma=lambda y: np.ones_like(y),
-        drift_b=lambda y: np.zeros_like(y),
-        coupling=coupling,
-    )
-    R = build_root_system("A", 3)
-    g = chamber_grid(R, 500, seed=5)
-    rep = validate_assumptions(bad, R, g)
-    assert rep.coupling_ok is False
 
 
 def test_predictor_closed_forms():

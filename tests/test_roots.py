@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from weylgas.roots import (build_root_system, chamber_classify,
                            decompose_simple, reflect, reflection_pairs,
-                           resolve_weights, root_order_leq, simple_support,
-                           weighted_projections)
+                           resolve_weights)
 
 ALL_SYSTEMS = [("A", n) for n in range(2, 6)] + \
               [("B", n) for n in range(2, 6)] + \
@@ -107,13 +106,6 @@ def test_decompose_rejects_off_span():
         decompose_simple((1, 0, 0), R)  # not in the sum-zero hyperplane
 
 
-def test_root_order():
-    R = build_root_system("A", 3)
-    assert root_order_leq((-1, 1, 0), (-1, 0, 1), R)
-    assert not root_order_leq((-1, 0, 1), (-1, 1, 0), R)
-    assert simple_support((-1, 0, 1), R) == frozenset({0, 1})
-
-
 def test_reflection_pairs_a3_example():
     R = build_root_system("A", 3)
     pairs = reflection_pairs((-1, 1, 0), R)  # beta = e2 - e1
@@ -174,13 +166,13 @@ def test_chamber_partition_lattice(x):
 
 def test_weighted_projections_and_weights():
     R = build_root_system("A", 3)
-    x = [0.0, 1.0, 3.0]
+    x = np.array([0.0, 1.0, 3.0])
     # positive roots ordered e2-e1, e3-e1, e3-e2
-    wp = weighted_projections(x, R)
-    assert wp.raw == (1.0, 3.0, 2.0)
-    assert wp.squared == (1.0, 9.0, 4.0)
-    wp2 = weighted_projections(x, R, "norm")
-    assert np.allclose(wp2.squared, np.array([1.0, 9.0, 4.0]) / 2.0)
+    raw = R.positive_matrix @ x
+    assert raw.tolist() == [1.0, 3.0, 2.0]
+    assert (raw / resolve_weights(R, None)).tolist() == [1.0, 3.0, 2.0]
+    assert np.allclose((raw / resolve_weights(R, "norm")) ** 2,
+                       np.array([1.0, 9.0, 4.0]) / 2.0)
     with pytest.raises(ValueError):
         resolve_weights(R, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):

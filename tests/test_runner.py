@@ -19,9 +19,8 @@ import weylgas.runner as runner
 from weylgas.besq import BesqSpec, besq_exact_transition
 from weylgas.cli import main
 from weylgas.config import parse_config
-from weylgas.runner import (config_digest, reanalyze_dimension,
-                            rerun_from_manifest, run_simulate, run_sweep,
-                            run_verify, write_json)
+from weylgas.runner import (config_digest, reanalyze_dimension, run_simulate,
+                            run_sweep, run_verify, write_json)
 
 SMALL_DOC = {
     "family": "A",
@@ -181,9 +180,11 @@ def test_worker_count_invariance(small_run, tmp_path):
 
 
 def test_rerun_from_manifest(small_run, tmp_path):
+    """The config stored in manifest.json reproduces the run."""
     out, _ = small_run
     out2 = tmp_path / "rerun"
-    rerun_from_manifest(out / "manifest.json", out_dir=out2, workers=2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    run_simulate(parse_config(manifest["config"]), out_dir=out2, workers=2)
     assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
@@ -368,6 +369,32 @@ def test_oracle_variance_check_detects_spread(monkeypatch):
     monkeypatch.setattr(runner, "besq_exact_transition", spread)
     section = run_verify("oracle")["sections"]["oracle"]
     assert [f.split(" off")[0] for f in section["failures"]] == ["transition variance"]
+
+
+@pytest.mark.parametrize("shift", [0.05, -0.05])
+def test_oracle_mean_check_detects_a_shift(monkeypatch, shift):
+    """A transition sampler with the exact spread about a mean 0.05 off
+    (about 10 standard errors) fails the mean check, and only that check."""
+    exact = runner.besq_exact_transition
+
+    def shifted(spec, t, size=1, seed=None):
+        x = exact(spec, t, size, seed)
+        return x + shift if spec == BesqSpec(1.7, 0.8) else x
+
+    monkeypatch.setattr(runner, "besq_exact_transition", shifted)
+    section = run_verify("oracle")["sections"]["oracle"]
+    assert [f.split(" off")[0] for f in section["failures"]] == ["transition mean"]
+
+
+@pytest.mark.parametrize("seed", [17, 95])
+def test_oracle_mean_check_shares_the_bound(monkeypatch, seed):
+    """At these seeds the sample mean lies 3.0 and 3.1 standard errors off:
+    the oracle passes at its one bound of 4, and fails the mean check when
+    that bound is lowered to 3."""
+    assert run_verify("oracle", seed=seed)["passed"]
+    monkeypatch.setattr(runner, "_ORACLE_Z", 3.0)
+    failures = run_verify("oracle", seed=seed)["sections"]["oracle"]["failures"]
+    assert [f.split(" off")[0] for f in failures] == ["transition mean"]
 
 
 def test_verify_report_oracle_checks(tmp_path):
