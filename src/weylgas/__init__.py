@@ -25,7 +25,7 @@ from .models import (BoundConstants, CoefficientModel, DimensionBounds,
                      wishart_param_map_inverse)
 from .roots import (ChamberLocation, RootSystem, build_root_system,
                     chamber_classify, decompose_simple, reflect,
-                    reflection_pairs, resolve_weights)
+                    resolve_weights)
 from .rng import derive_key, trajectory_generator
 from .runner import reanalyze_dimension, run_simulate, run_sweep, run_verify
 from .sympoly import (elementary, elementary_excluding, elementary_rows,

@@ -12,6 +12,7 @@ results do not depend on chunking or workers.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -83,6 +84,21 @@ def _repulsive_drift(proj: np.ndarray, kvals: np.ndarray,
     return (kvals / proj) @ pm
 
 
+def _noise_blocks(P: int, N: int) -> np.ndarray:
+    """A (P, _NOISE_BLOCK, N) float array in an anonymous memory map of its
+    own, unmapped when the array is freed.
+
+    From the malloc heap, a block this size (4.9 MB at P = 100, N = 3) is
+    freed and requested again by every ensemble; once other allocations
+    have split the freed space, the heap grows by the block again, so the
+    peak RSS of a long run depends on allocation order (49.6 or 53.1 MB on
+    the same 100-path ensembles).
+    """
+    n = P * _NOISE_BLOCK * N
+    buf = mmap.mmap(-1, max(8 * n, 1))  # a map cannot be empty
+    return np.frombuffer(buf, dtype=float, count=n).reshape(P, _NOISE_BLOCK, N)
+
+
 def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
              proj: np.ndarray, dt: np.ndarray, noise: np.ndarray,
              unit_k=None):
@@ -90,26 +106,32 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
     projections ``proj``, step sizes ``dt`` (n,) and normals ``noise``.
 
     Returns (proposals, their projections, each row's smallest projection,
-    mask of those inside), the mask being None when every row is inside
-    (a NaN row is not).  Given ``unit_k``, the model's
-    ``unit_constants(R)``, sigma = 1 and b = 0 are not evaluated: same bits.
+    the smallest of those, mask of the rows inside), the mask being None
+    when every row is inside (a NaN row is not).  Given ``unit_k``, the
+    model's ``unit_constants(R)``, sigma = 1 and b = 0 are not evaluated:
+    same bits.
     """
     pm = R.positive_matrix
     dtc = dt[:, None]
     if unit_k is not None:
-        disp = np.sqrt(dtc) * noise + _repulsive_drift(proj, unit_k, pm) * dtc
+        # xs + (sqrt(dt) noise + drift dt), summed in place with each sum's
+        # operands swapped: IEEE addition is commutative, so same bits
+        prop = _repulsive_drift(proj, unit_k, pm)
+        prop *= dtc
+        prop += np.sqrt(dtc) * noise
+        prop += xs
     else:
-        disp = (
+        prop = xs + (
             model.sigma(xs) * np.sqrt(dtc) * noise
             + model.drift_b(xs) * dtc
             + _repulsive_drift(proj, model.coupling_values(xs, R), pm) * dtc
         )
-    prop = xs + disp
     prop_proj = prop @ pm.T
     # ufunc reductions: ndarray.min adds a Python-level wrapper to each call
     prop_min = np.minimum.reduce(prop_proj, axis=1)
-    inside = np.minimum.reduce(prop_min) > 0.0  # False on NaN
-    return prop, prop_proj, prop_min, None if inside else prop_min > 0.0
+    smin = np.minimum.reduce(prop_min)
+    # smin > 0 is False on NaN
+    return prop, prop_proj, prop_min, smin, None if smin > 0.0 else prop_min > 0.0
 
 
 def boundary_entry_push(x: Sequence[float], model: CoefficientModel,
@@ -163,7 +185,7 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         states[p] = boundary_entry_push(states[p], model, R)
 
     gens = [trajectory_generator(master_seed, base_index + p, *seed_extra) for p in range(P)]
-    blocks = np.empty((P, _NOISE_BLOCK, N))
+    blocks = _noise_blocks(P, N)
 
     t = np.zeros(P)
     rejected_steps = np.zeros(P, dtype=np.int64)
@@ -192,13 +214,20 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     tl = np.zeros(g.size)
     scale = np.ones(g.size)  # exactly 2**-(consecutive rejects)
     n_rej = np.zeros(g.size, dtype=np.int64)  # accepted = it - rejected
+    dt_min, dt_max, safety = policy.dt_min, policy.dt_max, policy.safety
+    radius = policy.explosion_radius
+    # no |x_i| exceeds radius when sum x_i^2 < radius^2 / 2: a rounded sum
+    # of squares is at least its largest rounded term, and inf or NaN fails
+    half_r2 = radius * radius / 2
     stuck_scale = 0.5 ** policy.max_rejects
     t_done = horizon * (1.0 - 1e-12)
     unit_k = model.unit_constants(R)  # None unless sigma = 1, b = 0, constant k
     it = 0  # iterations so far = proposals made by every running lane
-    # all_ok: the last iteration accepted every lane, so every scale is 1;
-    # tmax >= max(tl), exact since dt <= dt_max and rounding is monotone
-    all_ok, tmax = True, 0.0
+    # all_ok: the last iteration accepted every lane, so every scale is 1
+    # and smin, the smallest proposal projection, is at most every pmin;
+    # tmax >= max(tl), exact since dt <= dt_max and rounding is monotone;
+    # prefix: the lanes run paths 0 .. g.size - 1
+    all_ok, smin, tmax, prefix = True, 0.0, 0.0, True
     while g.size:
         # every lane proposes once per iteration, so all running lanes sit
         # at the same row of their noise blocks and refill together
@@ -206,20 +235,24 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         if row == 0:
             for p in g:
                 blocks[p] = gens[p].standard_normal((_NOISE_BLOCK, N))
-        noise = blocks[g, row]
+        noise = blocks[:g.size, row] if prefix else blocks[g, row]
 
-        # clamps that cannot change dt are skipped: dt <= dt_max <= horizon - tl
+        # clamps that cannot change dt are skipped: dt <= dt_max <= horizon - tl,
+        # and every dt >= dt_min when fl(fl(smin^2) safety) >= dt_min, that
+        # rounding being monotone in smin
         dt = pmin**2
-        dt *= policy.safety
-        np.minimum(np.maximum(dt, policy.dt_min, out=dt), policy.dt_max, out=dt)
+        dt *= safety
+        if not (all_ok and smin * smin * safety >= dt_min):
+            np.maximum(dt, dt_min, out=dt)
+        np.minimum(dt, dt_max, out=dt)
         if not all_ok:
             dt *= scale
-        if horizon - tmax < policy.dt_max:
+        if horizon - tmax < dt_max:
             np.minimum(dt, horizon - tl, out=dt)
-        prop, prop_proj, prop_min, ok = _propose(
+        prop, prop_proj, prop_min, smin, ok = _propose(
             model, R, x, proj, dt, noise, unit_k)
         it += 1
-        tmax += policy.dt_max
+        tmax += dt_max
         was_ok, all_ok = all_ok, ok is None
         if all_ok:  # take the proposals whole: no masks
             x, proj, pmin, tl = prop, prop_proj, prop_min, tl + dt
@@ -234,7 +267,12 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             n_rej += ~ok
 
         if (record or collector is not None) and (all_ok or ok.any()):
-            rows = (g, tl) + (x, dt) * record + (proj,) * (collector is not None)
+            if not record:
+                rows = (g, tl, proj)
+            elif collector is None:
+                rows = (g, tl, x, dt)
+            else:
+                rows = (g, tl, x, dt, proj)
             pend.append(rows if all_ok else [a[ok] for a in rows])
             n_pend += pend[-1][0].size
 
@@ -243,11 +281,12 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         if tmax >= t_done:
             tmax = np.maximum.reduce(tl)  # also a bound for the lanes that stay
         if (tmax >= t_done
-                or np.maximum.reduce(np.abs(x), axis=None) > policy.explosion_radius
+                or not np.vdot(x, x) < half_r2
+                and np.maximum.reduce(np.abs(x), axis=None) > radius
                 or not all_ok and np.minimum.reduce(scale) < stuck_scale):
             if all_ok:
                 ok = np.ones(g.size, dtype=bool)
-            boom = ok & (np.abs(x).max(1) > policy.explosion_radius)
+            boom = ok & (np.abs(x).max(1) > radius)
             dead = ~ok & (scale < stuck_scale)
             leave = boom | dead | (tl >= t_done)
             out = g[leave]
@@ -259,8 +298,11 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
             rejected_steps[out] = n_rej[leave]
             g, x, proj, pmin, tl, scale, n_rej = (
                 a[~leave] for a in (g, x, proj, pmin, tl, scale, n_rej))
+            prefix = not g.size or g[-1] == g.size - 1
 
-        if n_pend >= chunk_rows or pend and not g.size:
+        # a chunk is handed on at chunk_rows rows, or at _CHUNK_ROWS pending
+        # iterations, whose small arrays outweigh their rows when few lanes run
+        if n_pend >= chunk_rows or len(pend) >= _CHUNK_ROWS or pend and not g.size:
             chunk = pend[0] if len(pend) == 1 else [np.concatenate(c) for c in zip(*pend)]
             pend, n_pend = [], 0
             path, times, *fields = chunk

@@ -2,8 +2,8 @@
 
 Roots are stored with exact integer coordinates in the standard basis of R^N,
 so all algebraic identities (closure, decomposition into simple roots,
-reflection pairs) can be checked in exact arithmetic.  Floating point only
-enters through configuration vectors supplied by the caller.
+reflection identities) can be checked in exact arithmetic.  Floating point
+only enters through configuration vectors supplied by the caller.
 """
 
 from __future__ import annotations
@@ -29,12 +29,18 @@ def reflect(mirror: Sequence, target: Sequence):
     """Reflect ``target`` along the hyperplane orthogonal to ``mirror``.
 
     Returns target - 2<mirror,target>/<mirror,mirror> * mirror.  Exact for
-    integer/Fraction inputs; involutive and norm-preserving.
+    integer/Fraction inputs; involutive and norm-preserving.  Integer inputs
+    with an integral coefficient, as for every pair of A/B/D roots, give an
+    int tuple without building a Fraction.
     """
     mm = _dot(mirror, mirror)
     if mm == 0:
         raise ValueError("mirror vector must be nonzero")
     mt = _dot(mirror, target)
+    if isinstance(mt, int) and isinstance(mm, int):
+        c, r = divmod(2 * mt, mm)
+        if r == 0:
+            return tuple(t - c * m for t, m in zip(target, mirror))
     if isinstance(mm, (int, Fraction)) and not isinstance(mm, bool):
         coef = Fraction(2 * mt, mm) if isinstance(mt, int) and isinstance(mm, int) else 2 * mt / mm
     else:
@@ -202,36 +208,6 @@ def decompose_simple(alpha: Sequence[int], R: RootSystem) -> tuple[Fraction, ...
     for row, col in pivots:
         coeffs[col] = rows[row][s]
     return tuple(coeffs)
-
-
-def reflection_pairs(beta: Sequence[int], R: RootSystem) -> tuple[tuple[Root, Root], ...]:
-    """Pairs (alpha, gamma) with gamma = +/- reflect(beta, alpha) in R_+.
-
-    Each unordered pair {alpha, gamma} is emitted once, with alpha the
-    lexicographically smaller root; the identities summed over these pairs
-    are invariant under the sign choice for gamma.
-    """
-    b = tuple(beta)
-    if b not in R.positive_roots:
-        raise ValueError("beta must be a positive root")
-    pset = set(R.positive_roots)
-    seen = set()
-    out = []
-    for alpha in R.positive_roots:
-        if alpha == b or _dot(alpha, b) == 0:
-            continue
-        gamma = reflect(b, alpha)
-        gamma = tuple(int(g) for g in gamma)
-        if gamma not in pset:
-            gamma = _vneg(gamma)
-        assert gamma in pset
-        key = frozenset((alpha, gamma))
-        if key in seen:
-            continue
-        seen.add(key)
-        a, g = sorted((alpha, gamma))
-        out.append((a, g))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .roots import RootSystem, reflection_pairs, _dot
+from .roots import RootSystem, reflect, _dot
 
 
 def elementary(values: Sequence, n: int):
@@ -131,15 +131,12 @@ def residual_reflection_identities(x: Sequence, alpha, beta, R: RootSystem):
     ab = _dot(alpha, beta)
     if ab == 0:
         raise ValueError("alpha and beta must be non-orthogonal")
-    gamma = None
-    for a, g in reflection_pairs(beta, R):
-        if a == alpha:
-            gamma = g
-            break
-        if g == alpha:
-            gamma = a
-            break
-    assert gamma is not None
+    if beta not in R.positive_roots or alpha not in R.roots:
+        raise ValueError("beta must be a positive root and alpha a root")
+    # reflect(beta, alpha) is a root, and reflect(beta, gamma) = +/- alpha
+    gamma = reflect(beta, alpha)
+    if gamma not in R.positive_roots:
+        gamma = tuple(-v for v in gamma)
     bb = _dot(beta, beta)
     bg = _dot(beta, gamma)
     xa = _dot(x, alpha)

@@ -31,8 +31,8 @@ def _propose_one(model, R, x, dt, noise):
     """One Euler-Maruyama step of ``_propose`` from one state: the proposal
     and the inside mask (None when the proposal is inside)."""
     xs = np.array([x], dtype=float)
-    prop, _, _, ok = _propose(model, R, xs, xs @ R.positive_matrix.T,
-                              np.array([dt]), np.array([noise], dtype=float))
+    prop, *_, ok = _propose(model, R, xs, xs @ R.positive_matrix.T,
+                            np.array([dt]), np.array([noise], dtype=float))
     return prop[0], ok
 
 
@@ -172,7 +172,7 @@ def _reference_ensemble(model, R, x0, horizon, policy, seed, P, collector=None):
         dt = np.minimum(np.maximum(policy.safety * gap2, policy.dt_min),
                         policy.dt_max)
         dt = np.minimum(dt * scale[g], horizon - t[g])
-        prop, prop_proj, _, ok = _propose(model, R, x[g], proj, dt, noise)
+        prop, prop_proj, *_, ok = _propose(model, R, x[g], proj, dt, noise)
         ok = np.ones(g.size, dtype=bool) if ok is None else ok
         acc, rej = g[ok], g[~ok]
         x[acc], t[acc], scale[acc] = prop[ok], t[acc] + dt[ok], 1.0
@@ -236,18 +236,26 @@ def _assert_equals_reference(model, R, x0, T, policy, seed, P, cols=(None, None)
     # lanes reach this horizon, off the dt_max grid, at iterations 18-2657
     ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.0123456,
      StepPolicy(dt_max=1e-3), 6, 10),
+    # gaps below sqrt(dt_min / safety) = 0.01 at the start: the dt_min floor
+    # binds on some iterations and not on others
+    ("dyson", {"k": 0.1}, "A", 3, [-0.004, 0.0, 0.004], 0.02,
+     StepPolicy(dt_max=1e-3, dt_min=1e-5), 2, 8),
 ], ids=["A3-reject-collector", "B2-reject", "three-exits-reject", "A3-bessel-general",
-        "A3-wishart", "A3-off-grid-horizon"])
+        "A3-wishart", "A3-off-grid-horizon", "A3-dt-floor"])
 def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
                                                policy, seed, P):
     """The engine's loop (carried projections, all-accept fast update, scalar
     exit tests, skipped no-op dt clamps, constants evaluated once per run)
     gives, byte for byte, the outputs, records and collector results of the
     per-lane masked reference loop, which evaluates sigma, b and the
-    coupling in every proposal (wishart takes that branch in both)."""
+    coupling in every proposal (wishart takes that branch in both) and
+    applies the dt_min floor in every iteration."""
     model, R = make_preset(preset, **params), build_root_system(family, N)
     cols = (_a3_collector(P, T), _a3_collector(P, T)) if family == "A" and N == 3 else (None, None)
-    _assert_equals_reference(model, R, x0, T, policy, seed, P, cols)
+    res = _assert_equals_reference(model, R, x0, T, policy, seed, P, cols)
+    if policy.dt_min > StepPolicy.dt_min:
+        steps = np.concatenate([r.step_sizes for r in res.records])
+        assert np.any(steps == policy.dt_min) and np.any(steps > policy.dt_min)
 
 
 class _ChunkLog(EnsembleCollector):
@@ -288,6 +296,20 @@ def test_chunk_boundaries_equal_reference_and_single_paths(monkeypatch):
         assert getattr(alone, f).tobytes() == getattr(res.records[p], f).tobytes(), f
 
 
+def test_collector_chunk_spans_at_most_chunk_rows_iterations():
+    """Pending rows go to the collector at ``_COLLECTOR_CHUNK_ROWS`` rows or
+    after ``_CHUNK_ROWS`` iterations, whichever comes first: two lanes hand on
+    chunks of 1,024 to 2,048 rows, well below the row limit."""
+    model, R = make_preset("dyson", k=0.25), build_root_system("A", 3)
+    P, T = 2, 0.3
+    log = _a3_collector(P, T, _ChunkLog)
+    res = simulate_ensemble(model, R, np.array([-0.1, 0.0, 0.1]), T,
+                            StepPolicy(dt_max=2e-4), 5, P, collector=log)
+    sizes = [c.size for c in log.chunks]
+    assert len(sizes) > 1 and sum(sizes) == res.accepted_steps.sum()
+    assert all(_CHUNK_ROWS <= n <= P * _CHUNK_ROWS for n in sizes[:-1])
+
+
 def test_recorded_path_memory_is_bounded():
     """A recorded path peaks at a few times its own bytes: the diagnostics
     B4 path (9,036 rows, 0.43 MB recorded) stays under 2.1 MB of numpy and
@@ -305,8 +327,9 @@ def test_recorded_path_memory_is_bounded():
 
 
 def test_propose_returns_row_minimum_of_projections():
-    """The returned minimum is each proposal's smallest projection, and the
-    mask marks the rows inside the chamber."""
+    """The returned minimum is each proposal's smallest projection, the
+    scalar is the smallest of those, and the mask marks the rows inside the
+    chamber."""
     R = build_root_system("B", 2)
     model = make_preset("bessel_b", k1=0.1, k2=0.6)
     rng = np.random.default_rng(4)
@@ -315,8 +338,9 @@ def test_propose_returns_row_minimum_of_projections():
     assert np.all(proj.min(1) > 0)
     dt = np.full(64, 1e-3)
     noise = rng.normal(size=(64, 2))
-    _, prop_proj, prop_min, ok = _propose(model, R, xs, proj, dt, noise)
+    _, prop_proj, prop_min, smin, ok = _propose(model, R, xs, proj, dt, noise)
     assert prop_min.tobytes() == prop_proj.min(1).tobytes()
+    assert smin == prop_min.min()
     assert ok is not None and not ok.all()  # some proposals leave
     assert np.array_equal(ok, prop_min > 0.0)
 

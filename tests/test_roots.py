@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylgas.roots as roots
 from weylgas.roots import (build_root_system, chamber_classify,
-                           decompose_simple, reflect, reflection_pairs,
-                           resolve_weights)
+                           decompose_simple, reflect, resolve_weights)
+from weylgas.runner import run_verify
 
 ALL_SYSTEMS = [("A", n) for n in range(2, 6)] + \
               [("B", n) for n in range(2, 6)] + \
@@ -106,28 +107,55 @@ def test_decompose_rejects_off_span():
         decompose_simple((1, 0, 0), R)  # not in the sum-zero hyperplane
 
 
-def test_reflection_pairs_a3_example():
-    R = build_root_system("A", 3)
-    pairs = reflection_pairs((-1, 1, 0), R)  # beta = e2 - e1
-    assert ((-1, 0, 1), (0, -1, 1)) in pairs  # {e3 - e1, e3 - e2}
-    # every pair reflects into itself
-    for a, g in pairs:
-        r = tuple(reflect((-1, 1, 0), a))
-        assert r == g or tuple(-v for v in r) == g
+def test_reflect_partner_examples():
+    # A3, beta = e2 - e1: e3 - e1 and e3 - e2 are partners
+    assert reflect((-1, 1, 0), (-1, 0, 1)) == (0, -1, 1)
+    assert reflect((-1, 1, 0), (0, -1, 1)) == (-1, 0, 1)
+    # B2, beta = e1: e2 - e1 and e2 + e1 are partners
+    assert reflect((1, 0), (-1, 1)) == (1, 1)
+    # a root orthogonal to beta is its own image
+    assert reflect((-1, 1, 0, 0), (0, 0, -1, 1)) == (0, 0, -1, 1)
 
 
-def test_reflection_pairs_b2_short_root():
-    R = build_root_system("B", 2)
-    pairs = reflection_pairs((1, 0), R)  # beta = e1
-    assert ((-1, 1), (1, 1)) in pairs  # {e2 - e1, e2 + e1}
-
-
-def test_reflection_pairs_skips_orthogonal():
-    R = build_root_system("D", 4)
+@pytest.mark.parametrize("family,N", ALL_SYSTEMS)
+def test_reflect_partners_are_positive_roots_and_involutive(family, N):
+    """For alpha != beta in R+, not orthogonal, the positive representative
+    gamma of +/- reflect(beta, alpha) is a positive root other than beta,
+    and +/- reflect(beta, gamma) is alpha: the partner that
+    ``residual_reflection_identities`` takes pairs the roots up."""
+    R = build_root_system(family, N)
+    pos = set(R.positive_roots)
     for beta in R.positive_roots:
-        for a, g in reflection_pairs(beta, R):
-            assert sum(x * y for x, y in zip(a, beta)) != 0 or \
-                   sum(x * y for x, y in zip(g, beta)) != 0
+        for alpha in R.positive_roots:
+            if alpha == beta or sum(a * b for a, b in zip(alpha, beta)) == 0:
+                continue
+            r = reflect(beta, alpha)
+            gamma = r if r in pos else tuple(-v for v in r)
+            assert gamma in pos and gamma != beta
+            back = reflect(beta, gamma)
+            assert alpha in (back, tuple(-v for v in back))
+
+
+def test_integer_reflections_build_no_fraction(monkeypatch):
+    """Root reflections and ``run_verify("algebra")`` take the integer path:
+    with ``Fraction`` raising in ``weylgas.roots``, the closure loop of every
+    system the algebra check builds, and the check itself, still pass; a
+    non-integral coefficient still reaches ``Fraction``."""
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(roots, "Fraction", no_fraction)
+    report = run_verify("algebra")
+    assert report["passed"]
+    for name in report["sections"]["algebra"]["systems"]:
+        R = build_root_system(name[0], int(name[1:]))
+        full = set(R.roots)
+        for y in R.roots:
+            for z in R.roots:
+                out = reflect(y, z)
+                assert out in full and all(type(v) is int for v in out)
+    with pytest.raises(AssertionError, match="Fraction"):
+        reflect((2, 1, 0), (1, 1, 1))
 
 
 def test_chamber_classify_regions():

@@ -168,3 +168,7 @@ def test_reflection_identities_argument_checks():
         # orthogonal pair in A_3 x-coordinates does not reflect
         residual_reflection_identities(
             [0, 1, 2, 3], (-1, 1, 0, 0), (0, 0, -1, 1), build_root_system("A", 4))
+    with pytest.raises(ValueError):  # beta must be a positive root
+        residual_reflection_identities([1, 2, 3], (-1, 1, 0), (1, 0, -1), R)
+    with pytest.raises(ValueError):  # alpha must be a root
+        residual_reflection_identities([1, 2, 3], (1, 0, 0), (-1, 1, 0), R)
