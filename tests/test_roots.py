@@ -107,13 +107,29 @@ def test_decompose_rejects_off_span():
         decompose_simple((1, 0, 0), R)  # not in the sum-zero hyperplane
 
 
-def test_reflect_partner_examples():
-    # A3, beta = e2 - e1: e3 - e1 and e3 - e2 are partners
-    assert reflect((-1, 1, 0), (-1, 0, 1)) == (0, -1, 1)
-    assert reflect((-1, 1, 0), (0, -1, 1)) == (-1, 0, 1)
-    # B2, beta = e1: e2 - e1 and e2 + e1 are partners
+def test_reflection_pairs_a3_example():
+    # beta = e2 - e1: e3 - e1 and e3 - e2 are partners
+    beta = (-1, 1, 0)
+    assert reflect(beta, (-1, 0, 1)) == (0, -1, 1)
+    assert reflect(beta, (0, -1, 1)) == (-1, 0, 1)
+    # every non-orthogonal positive root's partner reflects back onto it
+    R = build_root_system("A", 3)
+    pos = set(R.positive_roots)
+    for a in R.positive_roots:
+        if a == beta or sum(x * y for x, y in zip(a, beta)) == 0:
+            continue
+        r = reflect(beta, a)
+        g = r if r in pos else tuple(-v for v in r)
+        back = reflect(beta, g)
+        assert back == a or tuple(-v for v in back) == a
+
+
+def test_reflection_pairs_b2_short_root():
+    # beta = e1: e2 - e1 and e2 + e1 are partners
     assert reflect((1, 0), (-1, 1)) == (1, 1)
+    assert reflect((1, 0), (1, 1)) == (-1, 1)
     # a root orthogonal to beta is its own image
+    assert reflect((1, 0), (0, 1)) == (0, 1)
     assert reflect((-1, 1, 0, 0), (0, 0, -1, 1)) == (0, 0, -1, 1)
 
 
