@@ -1,14 +1,30 @@
 #!/usr/bin/env bash
 # Exercise the installed `weylgas` console script end to end.
 #   bash .github/scripts/console_script.sh OUT_DIR
-# Runs besq, verify, simulate and dimension, and checks that each invalid
-# config exits with code 2 before any run directory is made.
+# Runs besq, verify, simulate and dimension, and checks that invalid besq
+# input and each invalid config exit with code 2, the latter before any run
+# directory is made.
 set -euo pipefail
 out=$1
 mkdir -p "$out"
 
 weylgas --version
 weylgas besq --delta 1.0 --x0 1.0 --t 1.0
+# expect_besq_error ARGS...: `weylgas besq` exits 2 on a time that is not
+# positive and finite (at every delta) and on an infinite or NaN delta or x0
+expect_besq_error() {
+  local code=0
+  weylgas besq "$@" || code=$?
+  test "$code" -eq 2
+}
+expect_besq_error --delta 3 --x0 1 --t -1
+expect_besq_error --delta 3 --x0 1 --t nan
+expect_besq_error --delta 1 --x0 1 --t nan
+expect_besq_error --delta nan --x0 1 --t 1
+expect_besq_error --delta 1 --x0 nan --t 1
+expect_besq_error --delta 3 --x0 1 --t inf
+expect_besq_error --delta inf --x0 1 --t 1
+expect_besq_error --delta 1 --x0 inf --t 1
 weylgas verify --scope all --report "$out/verify.json"
 # the oracle checks its hitting law on both sides of x0/(2t) = 2 - delta/2
 python -c '

@@ -42,4 +42,4 @@ simulate_ensemble(model, R, 16.0 * x0, T, StepPolicy(dt_max=1e-3),
                   master_seed=12, n_paths=n_paths, collector=col)
 col.finalize()
 print(f"  k=0.50: fraction of paths ever below eps=1e-4: "
-      f"{col.any_event_rate(1e-4):.3f}")
+      f"{col.event_rates(1e-4)['any']:.3f}")

@@ -21,8 +21,7 @@ from .engine import (EnsembleResult, StepPolicy, TrajectoryRecord,
                      mc_drift_estimate, simulate_ensemble, simulate_trajectory)
 from .models import (BoundConstants, CoefficientModel, DimensionBounds,
                      chamber_grid, compute_bound_constants,
-                     dimension_bound_predictor, make_preset, wishart_param_map,
-                     wishart_param_map_inverse)
+                     dimension_bound_predictor, make_preset, wishart_param_map)
 from .roots import (ChamberLocation, RootSystem, build_root_system,
                     chamber_classify, decompose_simple, reflect,
                     resolve_weights)

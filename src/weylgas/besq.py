@@ -20,11 +20,11 @@ class BesqSpec:
     delta: float
     x0: float
 
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if self.x0 < 0:
-            raise ValueError("x0 must be non-negative")
+    def __post_init__(self):  # each test is False on NaN
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and non-negative")
+        if not 0 <= self.x0 < math.inf:
+            raise ValueError("x0 must be finite and non-negative")
 
     @property
     def index(self) -> float:
@@ -40,7 +40,7 @@ def besq_exact_transition(spec: BesqSpec, t: float, size: int = 1,
     with K ~ Poisson(x0 / (2t)).  Exact in distribution; no time stepping.
     ``seed`` may be anything np.random.default_rng accepts, or a Generator.
     """
-    if t <= 0:
+    if not t > 0:  # False on NaN
         raise ValueError("t must be positive")
     if size <= 0:
         raise ValueError("size must be positive")
@@ -102,7 +102,7 @@ def besq_hit_probability(spec: BesqSpec, t: float) -> float:
     """
     if spec.delta >= 2:
         raise ValueError("origin is not attainable for delta >= 2")
-    if t <= 0:
+    if not t > 0:  # False on NaN
         raise ValueError("t must be positive")
     if spec.x0 == 0:
         return 1.0

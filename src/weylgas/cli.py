@@ -8,6 +8,7 @@ WEYLGAS_OUTPUT_ROOT environment variable (falling back to ./runs).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -121,18 +122,17 @@ def dimension(run_dir, eps, scales):
 def besq(delta, x0, t):
     """Query the squared-Bessel oracle (hitting law, zero-set dimension)."""
     try:
-        spec = BesqSpec(delta=delta, x0=x0)
+        spec = BesqSpec(delta=delta, x0=x0)  # rejects a negative, infinite or NaN value
+        if not 0 < t < math.inf:  # at every delta; False on NaN
+            raise ValueError("t must be finite and positive")
         out = {
             "delta": delta,
             "x0": x0,
             "t": t,
             "mean": x0 + delta * t,
             "zero_set_dimension": besq_zero_dimension(delta),
+            "hit_probability": besq_hit_probability(spec, t) if delta < 2 else 0.0,
         }
-        if delta < 2:
-            out["hit_probability"] = besq_hit_probability(spec, t)
-        else:
-            out["hit_probability"] = 0.0
     except ValueError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_CONFIG)

@@ -140,14 +140,12 @@ class DimensionEstimate:
 
     value: float
     scale_window: tuple[float, float]
-    counts: dict
     slope: float
     stderr: float
-    n_samples: int
     flag: str = ""
 
 
-def dyadic_scales(T: float, n_scales: int, j_min: int = 2) -> list[float]:
+def dyadic_scales(T: float, n_scales: int, j_min: int) -> list[float]:
     """Scales T/2^j for j = j_min .. j_min + n_scales - 1."""
     return [T / 2**j for j in range(j_min, j_min + n_scales)]
 
@@ -180,15 +178,14 @@ def box_counts(intervals: Sequence[tuple[float, float]],
     return counts
 
 
-def fit_box_dimension(counts: dict[float, int], T: float,
-                      n_samples: int = 1) -> DimensionEstimate:
+def fit_box_dimension(counts: dict[float, int]) -> DimensionEstimate:
     """Least-squares fit of log N(delta) against log(1/delta)."""
     occupied = {d: n for d, n in counts.items() if n > 0}
     window = (min(counts), max(counts)) if counts else (0.0, 0.0)
     if not occupied:
-        return DimensionEstimate(0.0, window, counts, 0.0, 0.0, n_samples, "empty")
+        return DimensionEstimate(0.0, window, 0.0, 0.0, "empty")
     if len(occupied) < 2:
-        return DimensionEstimate(0.0, window, counts, 0.0, 0.0, n_samples, "undefined")
+        return DimensionEstimate(0.0, window, 0.0, 0.0, "undefined")
     xs = np.log(1.0 / np.array(sorted(occupied)))
     ys = np.log([occupied[d] for d in sorted(occupied)])
     A = np.vstack([xs, np.ones_like(xs)]).T
@@ -203,8 +200,7 @@ def fit_box_dimension(counts: dict[float, int], T: float,
         stderr = 0.0
     return DimensionEstimate(
         value=float(np.clip(slope, 0.0, 1.0)),
-        scale_window=(min(occupied), max(occupied)),
-        counts=counts, slope=slope, stderr=stderr, n_samples=n_samples,
+        scale_window=(min(occupied), max(occupied)), slope=slope, stderr=stderr,
     )
 
 
@@ -355,14 +351,10 @@ class EnsembleCollector:
 
     # ----- summaries -----
 
-    def event_rates(self, eps: float) -> tuple[float, float]:
-        """(order-1 rate, order->=2 rate): fraction of paths with any event."""
-        rates = path_event_rates(self.events_order1[eps], self.events_order2[eps])
-        return rates["order1"], rates["order2"]
-
-    def any_event_rate(self, eps: float) -> float:
-        return path_event_rates(self.events_order1[eps],
-                                self.events_order2[eps])["any"]
+    def event_rates(self, eps: float) -> dict:
+        """``path_event_rates`` at eps: the fractions of paths with an
+        order-1, an order->=2 and any event."""
+        return path_event_rates(self.events_order1[eps], self.events_order2[eps])
 
     def pooled_counts(self) -> dict[float, int]:
         """Summed per-path box counts at each scale (N_total ~ delta^-d)."""
@@ -370,7 +362,7 @@ class EnsembleCollector:
                 for s, a, n in zip(self.scales, self._box0, self._n_boxes)}
 
     def pooled_dimension(self) -> DimensionEstimate:
-        return fit_box_dimension(self.pooled_counts(), self.T, n_samples=self.P)
+        return fit_box_dimension(self.pooled_counts())
 
     def argmin_fraction(self, eps: float, root_index: int) -> float:
         """Fraction of events (pooled) whose deepest root is the given one."""

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Optional
 
 import numpy as np
 
+from .collisions import dyadic_scales
 from .engine import StepPolicy
 from .models import CoefficientModel, make_preset
 from .roots import RootSystem, build_root_system, chamber_classify, resolve_weights
@@ -36,6 +37,8 @@ _PRESET_PARAMS = {
     "wishart": ("kappa", "a"),
     "jacobi": ("k", "p", "q"),
 }
+
+_X0_DEFAULT = {"mode": "equispaced"}
 
 _PRESET_FAMILY = {
     "dyson": "A",
@@ -135,7 +138,8 @@ def _schema_errors(schema: dict, value, path: str = "") -> list[str]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration plus the raw document it came from."""
+    """Validated run configuration plus the raw document it came from;
+    ``parse_config`` builds it and supplies every field."""
 
     raw: dict
     family: str
@@ -145,19 +149,19 @@ class RunConfig:
     T: float
     ensemble: int
     seed: int
-    x0_mode: str = "equispaced"
-    x0_values: Optional[tuple] = None
-    x0_spacing: float = 1.0
-    policy: StepPolicy = field(default_factory=StepPolicy)
-    eps_grid: tuple = (1e-2, 1e-3, 1e-4)
-    dim_eps: Optional[float] = None
-    scales_spec: Any = None
-    weights: Any = None
-    output_dir: Optional[str] = None
-    workers: int = 1
-    record_trajectories: bool = False
-    thin_stride: int = 1
-    sweep: Optional[dict] = None
+    x0_mode: str
+    x0_values: Optional[tuple]
+    x0_spacing: float
+    policy: StepPolicy
+    eps_grid: tuple
+    dim_eps: Optional[float]
+    scales_spec: Any
+    weights: Any
+    output_dir: Optional[str]
+    workers: int
+    record_trajectories: bool
+    thin_stride: int
+    sweep: Optional[dict]
 
     # ----- derived objects -----
 
@@ -198,7 +202,7 @@ class RunConfig:
         if isinstance(spec, dict):
             j_min = int(spec.get("j_min", j_min))
             n_scales = int(spec.get("n_scales", n_scales))
-        return sorted(self.T / 2**j for j in range(j_min, j_min + n_scales))
+        return sorted(dyadic_scales(self.T, n_scales, j_min))
 
 
 def _collect_violations(doc: dict) -> list[str]:
@@ -228,7 +232,7 @@ def _collect_violations(doc: dict) -> list[str]:
                 f"jacobi wall condition violated: min(p, q) >= N - 1 + 2/k = {wall:g} "
                 "is required for a unique strong solution"
             )
-    x0 = doc.get("x0", {"mode": "equispaced"})
+    x0 = doc.get("x0", _X0_DEFAULT)
     if x0["mode"] in ("explicit", "boundary"):
         vals = x0.get("values")
         if vals is None:
@@ -245,7 +249,7 @@ def _collect_violations(doc: dict) -> list[str]:
         if ("parameter2" in sweep) != ("values2" in sweep):
             violations.append("sweep parameter2 and values2 must be given together")
     policy = doc.get("policy", {})
-    if policy.get("dt_min", 1e-9) > policy.get("dt_max", 1e-3):
+    if policy.get("dt_min", StepPolicy.dt_min) > policy.get("dt_max", StepPolicy.dt_max):
         violations.append("policy.dt_min must not exceed policy.dt_max")
     return violations
 
@@ -260,7 +264,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(violations)
 
     params = {p: doc[p] for p in _PRESET_PARAMS[doc["preset"]]}
-    x0 = doc.get("x0", {"mode": "equispaced"})
+    x0 = doc.get("x0", _X0_DEFAULT)
     policy = StepPolicy(**doc.get("policy", {}))
 
     cfg = RunConfig(

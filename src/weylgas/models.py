@@ -77,15 +77,28 @@ class ConstantCoupling:
 
 
 def _pair_indices(R: RootSystem) -> tuple[np.ndarray, np.ndarray]:
-    """For each positive root e_j - e_i (or e_j + e_i) return (i, j)."""
-    ii, jj = [], []
-    for alpha in R.positive_roots:
-        nz = [k for k, a in enumerate(alpha) if a != 0]
-        if len(nz) != 2:
-            raise ValueError("pair indices are only defined for two-entry roots")
-        ii.append(nz[0])
-        jj.append(nz[1])
-    return np.array(ii), np.array(jj)
+    """(i, j) of each positive root e_j - e_i of an A system."""
+    cols = np.nonzero(R.positive_matrix)[1]  # row by row, so i < j in each
+    return cols[::2].copy(), cols[1::2].copy()  # contiguous: faster to index by
+
+
+class _PairCoupling:
+    """k_alpha(x) = f(x_i, x_j) at each root alpha = e_j - e_i of an A
+    system; the index pairs are found once per root system, as
+    ``ConstantCoupling`` finds its constants."""
+
+    def __init__(self, preset: str, f: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self._preset, self._f = preset, f
+        self._last = (None, None)  # the last root system seen and its pairs
+
+    def __call__(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
+        seen = self._last
+        if seen[0] is not R:
+            if R.family != "A":
+                raise ValueError(f"{self._preset} preset runs on an A root system")
+            seen = self._last = (R, _pair_indices(R))
+        ii, jj = seen[1]
+        return self._f(x[..., ii], x[..., jj])
 
 
 def make_preset(name: str, **params) -> CoefficientModel:
@@ -151,16 +164,10 @@ def make_preset(name: str, **params) -> CoefficientModel:
         if kappa <= 0 or a <= 0:
             raise ValueError("wishart preset requires kappa > 0 and a > 0")
 
-        def coupling(x: np.ndarray, R: RootSystem) -> np.ndarray:
-            if R.family != "A":
-                raise ValueError("wishart preset runs on an A root system")
-            ii, jj = _pair_indices(R)
-            return kappa * (x[..., ii] + x[..., jj])
-
         return CoefficientModel(
             sigma=lambda y: 2.0 * np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0)),
             drift_b=lambda y: np.full_like(np.asarray(y, dtype=float), kappa * a),
-            coupling=coupling,
+            coupling=_PairCoupling(name, lambda xi, xj: kappa * (xi + xj)),
             preset="wishart", params={"kappa": kappa, "a": a},
             monotone_drift=False, monotone_coupling=True,
             bounded_ratios=False,
@@ -178,16 +185,10 @@ def make_preset(name: str, **params) -> CoefficientModel:
                 f"= {N - 1 + 2.0 / k:g} for a unique strong solution"
             )
 
-        def coupling(x: np.ndarray, R: RootSystem) -> np.ndarray:
-            if R.family != "A":
-                raise ValueError("jacobi preset runs on an A root system")
-            ii, jj = _pair_indices(R)
-            return k * (1.0 - x[..., ii] * x[..., jj])
-
         return CoefficientModel(
             sigma=lambda y: np.sqrt(np.maximum(1.0 - np.asarray(y, dtype=float) ** 2, 0.0)),
             drift_b=lambda y: 0.5 * k * (p - q - (p + q) * np.asarray(y, dtype=float)),
-            coupling=coupling,
+            coupling=_PairCoupling(name, lambda xi, xj: k * (1.0 - xi * xj)),
             preset="jacobi", params={"k": k, "p": p, "q": q, "N": N},
             monotone_drift=True, monotone_coupling=True,
             bounded_ratios=False,
@@ -208,23 +209,13 @@ def make_preset(name: str, **params) -> CoefficientModel:
 def wishart_param_map(k1: float, k2: float, N: int) -> tuple[float, float]:
     """Map B-type coupling constants (k1, k2) to Wishart (kappa, a).
 
-    kappa = 2*k2 and kappa*a = 2*k1 + 2*k2*(N - 1) + 1; exact inverse of
-    ``wishart_param_map_inverse``.
+    kappa = 2*k2 and kappa*a = 2*k1 + 2*k2*(N - 1) + 1.
     """
     if k1 <= 0 or k2 <= 0:
         raise ValueError("k1 and k2 must be positive")
     kappa = 2.0 * k2
     a = (2.0 * k1 + 2.0 * k2 * (N - 1) + 1.0) / kappa
     return kappa, a
-
-
-def wishart_param_map_inverse(kappa: float, a: float, N: int) -> tuple[float, float]:
-    """Recover (k1, k2) from Wishart parameters (kappa, a)."""
-    if kappa <= 0 or a <= 0:
-        raise ValueError("kappa and a must be positive")
-    k2 = kappa / 2.0
-    k1 = (kappa * a - 1.0 - 2.0 * k2 * (N - 1)) / 2.0
-    return k1, k2
 
 
 def chamber_grid(R: RootSystem, n_points: int = 4096, scale: float = 1.0,
@@ -252,56 +243,33 @@ class BoundConstants:
     """Grid estimates of the coupling-to-diffusion ratio constants.
 
     ratio(y, beta) = |beta|^2 k_beta(y) / sum_i beta_i^2 sigma^2(y_i);
-    eta_check / eta_hat are its inf / sup per simple root, eta_tilde the
-    per-root max_i sup k_alpha / sigma^2(y_i), h_tilde = max eta_tilde,
-    b_hat = sup |b / sigma^2|, and c_R the root-coordinate constant.
+    eta_check / eta_hat are its inf / sup per simple root, h_tilde the
+    sup over roots alpha and coordinates i of k_alpha / sigma^2(y_i), and
+    b_hat = sup |b / sigma^2|.
     """
 
     eta_check: dict
     eta_hat: dict
-    eta_tilde: dict
     h_tilde: float
     b_hat: float
-    c_R: float
-
-
-def _ratio_table(model: CoefficientModel, R: RootSystem, grid: np.ndarray) -> np.ndarray:
-    """ratio(y, alpha) on the grid for every positive root, shape (n, M)."""
-    pm = R.positive_matrix
-    sig2 = model.sigma(grid) ** 2  # (n, N)
-    denom = sig2 @ (pm.T**2)  # (n, M)
-    norms2 = (pm**2).sum(axis=1)
-    kvals = model.coupling_values(grid, R)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return norms2 * kvals / denom
 
 
 def compute_bound_constants(model: CoefficientModel, R: RootSystem,
                             grid: np.ndarray) -> BoundConstants:
     """Estimate all dimension-bound constants by sampling the grid."""
     grid = np.asarray(grid, dtype=float)
-    ratios = _ratio_table(model, R, grid)
+    pm = R.positive_matrix
+    sig2 = model.sigma(grid) ** 2  # (n, N)
+    kvals = model.coupling_values(grid, R)  # (n, M)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (pm**2).sum(axis=1) * kvals / (sig2 @ (pm.T**2))
+        # one root at a time: (n, N) temporaries, never (n, M, N)
+        h_tilde = max(float((kvals[:, i, None] / sig2).max()) for i in range(R.M))
+        b_hat = float(np.abs(model.drift_b(grid) / sig2).max())
     simple_idx = [R.index(b) for b in R.simple_roots]
     eta_check = {R.positive_roots[i]: float(ratios[:, i].min()) for i in simple_idx}
     eta_hat = {R.positive_roots[i]: float(ratios[:, i].max()) for i in simple_idx}
-
-    sig2 = model.sigma(grid) ** 2
-    kvals = model.coupling_values(grid, R)
-    eta_tilde = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, alpha in enumerate(R.positive_roots):
-            eta_tilde[alpha] = float((kvals[:, i][:, None] / sig2).max())
-    h_tilde = max(eta_tilde.values())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_hat = float(np.abs(model.drift_b(grid) / sig2).max())
-
-    norms = R.root_norms
-    pm = R.positive_matrix
-    c_R = 0.0
-    for i in range(R.M):
-        nz = np.abs(pm[i]) > 0
-        c_R = max(c_R, float(np.max(norms[i] / np.abs(pm[i][nz]))))
-    return BoundConstants(eta_check, eta_hat, eta_tilde, h_tilde, b_hat, c_R)
+    return BoundConstants(eta_check, eta_hat, h_tilde, b_hat)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ only enters through configuration vectors supplied by the caller.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -104,19 +103,6 @@ class RootSystem:
     def index(self, alpha: Sequence[int]) -> int:
         """Index of a positive root; raises ValueError if absent."""
         return self.positive_roots.index(tuple(alpha))
-
-    def to_json(self) -> str:
-        """Serialize the structural data for golden-file comparisons."""
-        return json.dumps(
-            {
-                "family": self.family,
-                "N": self.N,
-                "roots": [list(r) for r in self.roots],
-                "positive_roots": [list(r) for r in self.positive_roots],
-                "simple_roots": [list(r) for r in self.simple_roots],
-            },
-            sort_keys=True,
-        )
 
 
 def build_root_system(family: str, N: int) -> RootSystem:

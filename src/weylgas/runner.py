@@ -154,8 +154,7 @@ def _execute(cfg: RunConfig, seed_extra: tuple = (), workers: int = 1,
 def _summarize(cfg: RunConfig, merged: dict) -> dict:
     R = cfg.root_system()
     model = cfg.model()
-    estimate = fit_box_dimension(merged["box_counts"], cfg.T,
-                                 n_samples=cfg.ensemble)
+    estimate = fit_box_dimension(merged["box_counts"])
     bounds = dimension_bound_predictor(model, R)
     P = cfg.ensemble
     event_rates = {f"{eps:g}": path_event_rates(merged["order1"][eps],
@@ -264,8 +263,9 @@ def run_simulate(cfg: RunConfig, out_dir=None, workers=None) -> dict:
                         "cpu_count": os.cpu_count()},
         "step_stats": summary["paths"],
         "summary": summary,
-        "artifacts": sorted({p.name for p in out.iterdir() if p.is_file()}
-                            | {"manifest.json"}),
+        # what this run writes, not whatever else the directory holds
+        "artifacts": ["dimension.json", "events.json", "manifest.json", "summary.json"]
+                     + (["trajectories/"] if cfg.record_trajectories else []),
     }
     write_json(out / "manifest.json", manifest)
     return manifest
@@ -309,7 +309,7 @@ def reanalyze_dimension(run_dir, eps=None, scales=None) -> dict:
     path = np.repeat(np.arange(len(per["offsets"]) - 1), np.diff(per["offsets"]))
     total = box_counts(np.column_stack([per["t_in"], per["t_out"]]), scales,
                        cfg.T, path)
-    estimate = fit_box_dimension(total, cfg.T, n_samples=cfg.ensemble)
+    estimate = fit_box_dimension(total)
     result = {
         "eps": float(key),
         "scales": scales,
@@ -411,8 +411,20 @@ def _verify_algebra(rng: np.random.Generator) -> dict:
             "systems": [f"{f}{n}" for f, n in systems]}
 
 
+# standard errors at which each sampling check of run_verify fails; a
+# correct program exceeds it with probability 6.3e-5 (two-sided normal)
+_VERIFY_Z = 4.0
+
+
 def _verify_drift(rng: np.random.Generator) -> dict:
-    """Closed-form drift formulas against the Monte Carlo oracle."""
+    """Closed-form drift formulas against the Monte Carlo oracle.
+
+    Ten checks, the e_n drift and the -log e_n drift at each of five
+    (preset, n), compare a closed form with a 4,000-draw Monte Carlo mean.
+    Each fails beyond ``_VERIFY_Z`` standard errors, so a correct program
+    fails this section by chance at most 10 x 6.3e-5 = 6.3e-4 of the time
+    (Bonferroni); at 3 standard errors it would be 2.7e-2.
+    """
     failures = []
     checks = []
     cases = [
@@ -430,7 +442,7 @@ def _verify_drift(rng: np.random.Generator) -> dict:
             mc, se = mc_drift_estimate(
                 x, model, R, e_n,
                 h=1e-6, n_samples=4000, seed=int(rng.integers(2**31)))
-            ok = abs(drift - mc) <= 3.0 * max(se, 1e-12)
+            ok = abs(drift - mc) <= _VERIFY_Z * max(se, 1e-12)
             checks.append({"preset": preset, "n": n, "drift": drift,
                            "mc": mc, "stderr": se, "passed": ok})
             if not ok:
@@ -441,7 +453,7 @@ def _verify_drift(rng: np.random.Generator) -> dict:
             mc2, se2 = mc_drift_estimate(
                 x, model, R, lambda y: -np.log(e_n(y)),
                 h=1e-6, n_samples=4000, seed=int(rng.integers(2**31)))
-            if abs(comps.sum() - mc2) > 3.0 * max(se2, 1e-12):
+            if abs(comps.sum() - mc2) > _VERIFY_Z * max(se2, 1e-12):
                 failures.append(
                     f"{preset} n={n}: log-drift {comps.sum():g} vs MC {mc2:g}")
     return {"passed": not failures, "failures": failures, "checks": checks}
@@ -460,20 +472,16 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(sup)
 
 
-_ORACLE_Z = 4.0  # standard errors at which each sampling check of the oracle fails
-
-
 def _verify_oracle(rng: np.random.Generator) -> dict:
     """BESQ oracle self-checks: moments, additivity, hitting law.
 
     Four checks compare a sample mean with an exact value: the exact
     transition's mean x0 + delta t and variance 2 delta t^2 + 4 x0 t (its
     standard error from the sample's fourth central moment) and two hitting
-    probabilities.  Each fails beyond ``_ORACLE_Z`` = 4 standard errors,
-    which a correct sampler exceeds with probability 6.3e-5, so a correct
-    program fails a run by chance at most 4 x 6.3e-5 = 2.5e-4 of the time
-    (Bonferroni).  Additivity compares BESQ(d1, x1) + BESQ(d2, x2) with
-    BESQ(d1 + d2, x1 + x2) by ``_ks_distance`` (numpy only: no
+    probabilities.  Each fails beyond ``_VERIFY_Z`` standard errors, so a
+    correct program fails them by chance at most 4 x 6.3e-5 = 2.5e-4 of
+    the time (Bonferroni).  Additivity compares BESQ(d1, x1) + BESQ(d2, x2)
+    with BESQ(d1 + d2, x1 + x2) by ``_ks_distance`` (numpy only: no
     ``scipy.stats``), which fails at 0.01 or more.
 
     The hitting law is checked by the Doob h-transform, an exact identity:
@@ -492,13 +500,13 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
     draws = besq_exact_transition(spec, t, size=n, seed=rng)
     mean = draws.mean()
     mean_err = abs(mean - (spec.x0 + spec.delta * t))
-    if mean_err > _ORACLE_Z * draws.std() / np.sqrt(n):
+    if mean_err > _VERIFY_Z * draws.std() / np.sqrt(n):
         failures.append(f"transition mean off by {mean_err:g}")
     draws -= mean
     draws *= draws  # squared deviations
     var = draws.mean()
     var_err = abs(var - (2.0 * spec.delta * t**2 + 4.0 * spec.x0 * t))
-    if var_err > _ORACLE_Z * np.sqrt((draws @ draws / n - var**2) / n):
+    if var_err > _VERIFY_Z * np.sqrt((draws @ draws / n - var**2) / n):
         failures.append(f"transition variance off by {var_err:g}")
     del draws
 
@@ -517,7 +525,7 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
         w **= -nu
         w *= x0**nu  # unbiased for P(T0 > t)
         p_mc, se = 1.0 - float(w.mean()), float(w.std() / np.sqrt(n))
-        ok = abs(p_mc - p_exact) <= _ORACLE_Z * se
+        ok = abs(p_mc - p_exact) <= _VERIFY_Z * se
         checks.append({"delta": delta, "x0": x0, "t": t, "p_exact": p_exact,
                        "p_mc": p_mc, "stderr": se, "passed": ok})
         if not ok:
@@ -526,7 +534,9 @@ def _verify_oracle(rng: np.random.Generator) -> dict:
 
 
 def run_verify(scope: str = "all", seed: int = 20260823) -> dict:
-    """Execute the verification suites; report is machine readable."""
+    """Execute the verification suites; report is machine readable.  Its 14
+    sampling checks share ``_VERIFY_Z``, so a correct program fails "all" by
+    chance at most 14 x 6.3e-5 = 8.9e-4 of the time (Bonferroni)."""
     if scope not in ("algebra", "drift", "oracle", "all"):
         raise ValueError(f"unknown scope {scope!r}")
     rng = np.random.default_rng(seed)

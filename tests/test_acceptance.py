@@ -149,7 +149,7 @@ def test_acceptance_04_no_collision_regimes(k):
                       StepPolicy(dt_max=1e-3), master_seed=400,
                       n_paths=n_paths, collector=col)
     col.finalize()
-    assert col.any_event_rate(1e-4) <= 0.01
+    assert col.event_rates(1e-4)["any"] <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +171,10 @@ def test_acceptance_05_collisions_are_simple():
                       StepPolicy(dt_max=1e-4), master_seed=500,
                       n_paths=n_paths, collector=col)
     col.finalize()
-    r2 = [col.event_rates(e)[1] for e in eps_grid]
+    r2 = [col.event_rates(e)["order2"] for e in eps_grid]
     assert r2[0] >= r2[1] >= r2[2]
     assert r2[-1] <= 0.01
-    assert col.event_rates(1e-2)[0] >= 0.5
+    assert col.event_rates(1e-2)["order1"] >= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def test_acceptance_08_besq_oracle():
             tz = t_axis[np.abs(w[p]) < eps]
             occ[p, np.minimum((tz / s).astype(int), nb - 1)] = True
         counts[s] = int(occ.sum())
-    est = fit_box_dimension(counts, T, n_samples=n_paths)
+    est = fit_box_dimension(counts)
     assert est.value == pytest.approx(0.5, abs=0.1), f"estimated {est.value:.3f}"
 
 

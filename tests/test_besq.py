@@ -7,18 +7,19 @@ from weylgas.besq import (BesqSpec, besq_exact_transition,
 
 
 def test_spec_validation_and_index():
-    with pytest.raises(ValueError):
-        BesqSpec(delta=-0.1, x0=1.0)
-    with pytest.raises(ValueError):
-        BesqSpec(delta=1.0, x0=-1.0)
+    for bad in (-0.1, float("nan"), float("inf")):
+        for delta, x0 in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError):
+                BesqSpec(delta=delta, x0=x0)
     assert BesqSpec(delta=1.0, x0=0.0).index == 0.0
     assert BesqSpec(delta=3.0, x0=2.0).index == 1.0
 
 
 def test_transition_argument_checks():
     spec = BesqSpec(delta=1.0, x0=1.0)
-    with pytest.raises(ValueError):
-        besq_exact_transition(spec, 0.0)
+    for t in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="t must be positive"):
+            besq_exact_transition(spec, t)
     with pytest.raises(ValueError):
         besq_exact_transition(spec, 1.0, size=0)
 
@@ -98,8 +99,9 @@ def test_hit_probability_matches_scipy_gammaincc():
 def test_hit_probability_rejects_polar_regime():
     with pytest.raises(ValueError):
         besq_hit_probability(BesqSpec(2.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        besq_hit_probability(BesqSpec(1.0, 1.0), 0.0)
+    for t in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="t must be positive"):
+            besq_hit_probability(BesqSpec(1.0, 1.0), t)
 
 
 def test_hit_probability_monotonicity():

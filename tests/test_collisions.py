@@ -173,20 +173,20 @@ def test_box_counts_pooled_equals_sum_of_path_loops(paths, scales, T):
 
 
 def test_dimension_point_is_zero():
-    est = fit_box_dimension(box_counts([(0.5, 0.5)], dyadic_scales(1.0, 8), 1.0), 1.0)
+    est = fit_box_dimension(box_counts([(0.5, 0.5)], dyadic_scales(1.0, 8, 2), 1.0))
     assert est.value == pytest.approx(0.0, abs=1e-12)
     assert est.flag == ""
 
 
 def test_dimension_full_interval_is_one():
-    est = fit_box_dimension(box_counts([(0.0, 1.0)], dyadic_scales(1.0, 8), 1.0), 1.0)
+    est = fit_box_dimension(box_counts([(0.0, 1.0)], dyadic_scales(1.0, 8, 2), 1.0))
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dimension_empty_and_undefined():
-    est = fit_box_dimension(box_counts([], dyadic_scales(1.0, 4), 1.0), 1.0)
+    est = fit_box_dimension(box_counts([], dyadic_scales(1.0, 4, 2), 1.0))
     assert est.flag == "empty" and est.value == 0.0
-    est = fit_box_dimension(box_counts([(0.0, 1.0)], [0.5], 1.0), 1.0)
+    est = fit_box_dimension(box_counts([(0.0, 1.0)], [0.5], 1.0))
     assert est.flag == "undefined" and est.value == 0.0
 
 
@@ -206,14 +206,14 @@ def test_dimension_cantor_set():
     """The middle-thirds Cantor set has box dimension log 2 / log 3."""
     ivs = _cantor_intervals(13)
     scales = [2.0**-j for j in range(4, 13)]
-    est = fit_box_dimension(box_counts(ivs, scales, 1.0), 1.0)
+    est = fit_box_dimension(box_counts(ivs, scales, 1.0))
     assert est.value == pytest.approx(np.log(2) / np.log(3), abs=0.05)
     assert est.stderr < 0.05
 
 
 def test_fit_reports_stderr_and_window():
     counts = {0.5: 2, 0.25: 4, 0.125: 8}
-    est = fit_box_dimension(counts, 1.0)
+    est = fit_box_dimension(counts)
     assert est.slope == pytest.approx(1.0)
     assert est.stderr == pytest.approx(0.0, abs=1e-10)
     assert est.scale_window == (0.125, 0.5)
@@ -250,7 +250,7 @@ def _sample_intervals(rec, R, eps):
 def _check_collector_against_batch(model, R, x0, T, P, eps_list, dim_eps):
     """Stream an ensemble through a collector and compare every count with
     batch detection on the recorded paths."""
-    scales = dyadic_scales(T, 6)
+    scales = dyadic_scales(T, 6, 2)
     col = EnsembleCollector(R, None, n_paths=P, horizon=T,
                             eps_list=eps_list, dim_eps=dim_eps, scales=scales)
     res = simulate_ensemble(model, R, x0, T, StepPolicy(dt_max=1e-3),
@@ -272,9 +272,9 @@ def _check_collector_against_batch(model, R, x0, T, P, eps_list, dim_eps):
         assert np.array_equal(col.events_order2[eps], n2)
         assert np.array_equal(col.argmin_counts[eps], argmin)
         assert col.intervals[eps] == [_sample_intervals(rec, R, eps) for rec in res.records]
-        r1, r2 = col.event_rates(eps)
-        assert r1 == pytest.approx(np.mean(n1 > 0))
-        assert r2 == pytest.approx(np.mean(n2 > 0))
+        assert col.event_rates(eps) == pytest.approx(
+            {"order1": np.mean(n1 > 0), "order2": np.mean(n2 > 0),
+             "any": np.mean(n1 + n2 > 0)})
 
     # pooled box counts agree with per-path sample-time occupancy
     assert col.pooled_counts() == _sample_occupancy(res.records, R, dim_eps, scales, T)
@@ -296,7 +296,7 @@ def _check_a3():
 def test_collector_matches_batch_detection():
     col = _check_a2()
     est = col.pooled_dimension()
-    assert est.n_samples == 20
+    assert est == fit_box_dimension(col.pooled_counts())
     assert 0.0 <= est.value <= 1.0
 
 
@@ -326,7 +326,7 @@ def test_collector_interval_nesting_and_argmin():
     R = build_root_system("B", 2)
     col = EnsembleCollector(R, None, n_paths=30, horizon=1.0,
                             eps_list=[0.05, 0.005], dim_eps=0.01,
-                            scales=dyadic_scales(1.0, 5))
+                            scales=dyadic_scales(1.0, 5, 2))
     simulate_ensemble(model, R, np.array([0.1, 0.9]), 1.0,
                       StepPolicy(dt_max=1e-3), 7, n_paths=30, collector=col)
     col.finalize()
@@ -346,10 +346,10 @@ def test_collector_argmin_nan_when_no_events():
     R = build_root_system("A", 2)
     col = EnsembleCollector(R, None, n_paths=2, horizon=1.0,
                             eps_list=[1e-6], dim_eps=1e-6,
-                            scales=dyadic_scales(1.0, 3))
+                            scales=dyadic_scales(1.0, 3, 2))
     col.finalize()
     assert np.isnan(col.argmin_fraction(1e-6, 0))
-    assert col.event_rates(1e-6) == (0.0, 0.0)
+    assert col.event_rates(1e-6) == {"order1": 0.0, "order2": 0.0, "any": 0.0}
 
 
 @pytest.mark.parametrize("eps_list", [[], [1e-6]])
@@ -358,7 +358,7 @@ def test_collector_occupancy_without_events(eps_list):
     occupancy bitmap is still written."""
     model = make_preset("dyson", k=0.6)  # k >= 1/2: no collisions
     R = build_root_system("A", 2)
-    scales = dyadic_scales(0.5, 4)
+    scales = dyadic_scales(0.5, 4, 2)
     col = EnsembleCollector(R, None, n_paths=6, horizon=0.5,
                             eps_list=eps_list, dim_eps=0.05, scales=scales)
     res = simulate_ensemble(model, R, np.array([-0.03, 0.03]), 0.5,
@@ -380,7 +380,7 @@ def test_collector_event_minimum_across_flushes(per_step):
     all in one update."""
     R = build_root_system("A", 3)
     col = EnsembleCollector(R, None, n_paths=2, horizon=1.0, eps_list=[0.01, 0.005],
-                            dim_eps=0.01, scales=dyadic_scales(1.0, 3))
+                            dim_eps=0.01, scales=dyadic_scales(1.0, 3, 2))
     far = [0.5, 0.5, 0.5]
     feed = [
         (0.1, {0: far, 1: far}),
@@ -428,7 +428,7 @@ def _logged_ensemble(P=10, T=0.05):
     def collector(**kw):
         return EnsembleCollector(R, None, n_paths=P, horizon=T,
                                  eps_list=[0.05, 0.01], dim_eps=0.02,
-                                 scales=dyadic_scales(T, 4), **kw)
+                                 scales=dyadic_scales(T, 4, 2), **kw)
 
     return log.calls, collector
 
@@ -482,7 +482,7 @@ def test_collector_closes_events_within_one_update():
     stored by that update, before ``finalize()``."""
     R = build_root_system("A", 2)
     col = EnsembleCollector(R, None, n_paths=2, horizon=1.0, eps_list=[0.01],
-                            dim_eps=0.01, scales=dyadic_scales(1.0, 3))
+                            dim_eps=0.01, scales=dyadic_scales(1.0, 3, 2))
     proj = np.array([[0.5, 0.5, 1.0], [0.005, 0.5, 0.505], [0.5, 0.5, 1.0]])
     col.update(np.array([0.1, 0.2, 0.3]), proj, np.array([1, 1, 1]))
     assert col.events_order1[0.01].tolist() == [0, 1]

@@ -192,7 +192,7 @@ def _reference_ensemble(model, R, x0, horizon, policy, seed, P, collector=None):
 
 def _a3_collector(P, T, cls=EnsembleCollector):
     return cls(build_root_system("A", 3), None, n_paths=P, horizon=T,
-               eps_list=[0.05, 0.01], dim_eps=0.02, scales=dyadic_scales(T, 4))
+               eps_list=[0.05, 0.01], dim_eps=0.02, scales=dyadic_scales(T, 4, 2))
 
 
 def _assert_equals_reference(model, R, x0, T, policy, seed, P, cols=(None, None)):

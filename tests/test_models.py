@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import weylgas.models as models
 from weylgas.models import (ConstantCoupling, chamber_grid, compute_bound_constants,
                             dimension_bound_predictor, make_preset,
-                            wishart_param_map, wishart_param_map_inverse)
+                            wishart_param_map)
 from weylgas.roots import build_root_system
 
 
@@ -126,6 +127,30 @@ def test_wishart_coupling_is_sum_of_pairs():
     assert np.allclose(m.drift_b(y), 4.0)
 
 
+@pytest.mark.parametrize("preset, params", [
+    ("wishart", {"kappa": 0.5, "a": 7.0}),
+    ("jacobi", {"k": 0.5, "p": 8.0, "q": 9.0, "N": 3}),
+])
+def test_pair_couplings_find_their_pairs_once_per_root_system(monkeypatch, preset, params):
+    """The wishart and jacobi couplings find the (i, j) of their roots once
+    per root system, not at every evaluation (each lock-step iteration)."""
+    calls = []
+    find = models._pair_indices
+    monkeypatch.setattr(models, "_pair_indices", lambda R: calls.append(R) or find(R))
+    m = make_preset(preset, **params)
+    R = build_root_system("A", 3)
+    x = np.array([[0.1, 0.3, 0.6], [-0.2, 0.0, 0.4]])
+    first = m.coupling_values(x, R)
+    for _ in range(3):
+        assert np.array_equal(m.coupling_values(x, R), first)
+    assert calls == [R]
+    R4 = build_root_system("A", 4)
+    assert m.coupling_values(np.array([0.1, 0.2, 0.3, 0.4]), R4).shape == (R4.M,)
+    assert calls == [R, R4]
+    with pytest.raises(ValueError, match="runs on an A root system"):
+        m.coupling_values(x, build_root_system("B", 3))
+
+
 def test_jacobi_wall_condition():
     # N = 3, k = 0.5 needs min(p, q) >= 2 + 4 = 6
     m = make_preset("jacobi", k=0.5, p=6.5, q=6.0, N=3)
@@ -139,7 +164,9 @@ def test_wishart_param_map_roundtrip():
     kap, a = wishart_param_map(0.75, 0.5, 3)
     assert kap == pytest.approx(1.0)
     assert a == pytest.approx(4.5)
-    k1, k2 = wishart_param_map_inverse(kap, a, 3)
+    # back again: k2 = kappa/2 and k1 = (kappa a - 1 - 2 k2 (N - 1)) / 2
+    k2 = kap / 2.0
+    k1 = (kap * a - 1.0 - 2.0 * k2 * (3 - 1)) / 2.0
     assert (k1, k2) == (pytest.approx(0.75), pytest.approx(0.5))
     # matrix-case values: k1 = k2 = 1/2, N = 2 gives kappa a = 2k1 + 2k2 + 1
     kap, a = wishart_param_map(0.5, 0.5, 2)

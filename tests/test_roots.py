@@ -1,5 +1,4 @@
 import itertools
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -221,15 +220,6 @@ def test_weighted_projections_and_weights():
         resolve_weights(R, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         resolve_weights(R, "foo")
-
-
-def test_json_roundtrip_structure():
-    R = build_root_system("D", 3)
-    doc = json.loads(R.to_json())
-    assert doc["family"] == "D"
-    assert doc["N"] == 3
-    assert len(doc["positive_roots"]) == R.M
-    assert [tuple(r) for r in doc["simple_roots"]] == list(R.simple_roots)
 
 
 def test_positive_matrix_cached_and_read_only():

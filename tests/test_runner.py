@@ -131,6 +131,19 @@ def test_manifest_records_environment(small_run, tmp_path):
         (out / "summary.json").read_bytes()
 
 
+def test_manifest_lists_the_files_the_run_writes(small_run, tmp_path):
+    """A run into a directory that holds other files (here a reanalysis and
+    a note) lists only the files it writes."""
+    out = tmp_path / "rerun"
+    shutil.copytree(small_run[0], out)
+    reanalyze_dimension(out)
+    (out / "notes.txt").write_text("kept\n")
+    manifest = run_simulate(parse_config(dict(SMALL_DOC)), out_dir=out)
+    written = ["dimension.json", "events.json", "manifest.json", "summary.json"]
+    assert manifest["artifacts"] == written
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == written
+
+
 def test_import_loads_no_scipy_special_stats_or_process_pool():
     """``import weylgas`` (and its CLI) leaves scipy.special, scipy.stats and
     the process pool to the functions that use them, and ``parse_config``
@@ -224,7 +237,8 @@ def test_dropped_intervals_reported(small_run, tmp_path, monkeypatch):
 def test_record_trajectories(tmp_path):
     doc = dict(SMALL_DOC, ensemble=3, record_trajectories=True, thin_stride=5)
     out = tmp_path / "rec"
-    run_simulate(parse_config(doc), out_dir=out)
+    manifest = run_simulate(parse_config(doc), out_dir=out)
+    assert manifest["artifacts"][-1] == "trajectories/"
     files = sorted((out / "trajectories").iterdir())
     assert [f.name for f in files] == [f"traj_{i:06d}.csv" for i in range(3)]
     header = files[0].read_text().splitlines()[0]
@@ -392,9 +406,46 @@ def test_oracle_mean_check_shares_the_bound(monkeypatch, seed):
     the oracle passes at its one bound of 4, and fails the mean check when
     that bound is lowered to 3."""
     assert run_verify("oracle", seed=seed)["passed"]
-    monkeypatch.setattr(runner, "_ORACLE_Z", 3.0)
+    monkeypatch.setattr(runner, "_VERIFY_Z", 3.0)
     failures = run_verify("oracle", seed=seed)["sections"]["oracle"]["failures"]
     assert [f.split(" off")[0] for f in failures] == ["transition mean"]
+
+
+@pytest.mark.parametrize("seed", [9, 13, 17, 69, 110, 117, 173])
+def test_drift_passes_where_a_check_lies_between_3_and_4_se(seed):
+    """At these seeds one drift check of a correct program lies 3.06 to
+    3.36 standard errors off; the section passes at run_verify's one bound
+    of 4 (and failed at its earlier bound of 3).  Seed 83, whose bessel_b
+    n=3 log-drift check lies 4.32 off, fails at both."""
+    section = run_verify("drift", seed=seed)["sections"]["drift"]
+    assert section["passed"], section["failures"]
+
+
+def test_drift_detects_a_scaled_e_drift(monkeypatch):
+    """A closed-form e_n drift 10% too large fails the drift section at the
+    default seed, in its e-drift checks only."""
+    exact = runner.e_poly_drift
+    monkeypatch.setattr(runner, "e_poly_drift", lambda *args: 1.1 * exact(*args))
+    section = run_verify("drift")["sections"]["drift"]
+    assert not section["passed"]
+    assert all(": e-drift " in f for f in section["failures"])
+
+
+@pytest.mark.parametrize("shift", [0.25, -0.25])
+def test_drift_detects_a_shifted_log_drift(monkeypatch, shift):
+    """A -log e_n drift 0.25 off fails the drift section at the default
+    seed, in its log-drift checks only."""
+    exact = runner.log_e_drift_components
+
+    def shifted(*args):
+        comps = exact(*args).copy()
+        comps[0] += shift
+        return comps
+
+    monkeypatch.setattr(runner, "log_e_drift_components", shifted)
+    section = run_verify("drift")["sections"]["drift"]
+    assert not section["passed"]
+    assert all(": log-drift " in f for f in section["failures"])
 
 
 def test_verify_report_oracle_checks(tmp_path):
@@ -497,3 +548,17 @@ def test_cli_besq():
     doc = json.loads(res.output)
     assert doc["hit_probability"] == pytest.approx(0.3173105, abs=1e-6)
     assert doc["zero_set_dimension"] == 0.5
+
+
+@pytest.mark.parametrize("delta, x0, t", [
+    ("3", "1", "-1"), ("3", "1", "0"), ("3", "1", "nan"), ("1", "1", "-1"),
+    ("1", "1", "nan"), ("nan", "1", "1"), ("1", "nan", "1"), ("-1", "1", "1"),
+    ("3", "1", "inf"), ("1", "1", "inf"), ("inf", "1", "1"), ("1", "inf", "1"),
+])
+def test_cli_besq_rejects_invalid_input(delta, x0, t):
+    """A time that is not positive and finite, at any delta, and a delta or
+    x0 that is negative, infinite or NaN exit with code 2 and print no
+    result (JSON has no NaN or Infinity)."""
+    res = CliRunner().invoke(main, ["besq", "--delta", delta, "--x0", x0, "--t", t])
+    assert res.exit_code == 2, res.output
+    assert "mean" not in res.output
