@@ -11,7 +11,8 @@ mkdir -p "$out"
 weylgas --version
 weylgas besq --delta 1.0 --x0 1.0 --t 1.0
 # expect_besq_error ARGS...: `weylgas besq` exits 2 on a time that is not
-# positive and finite (at every delta) and on an infinite or NaN delta or x0
+# positive and finite (at every delta), on an infinite or NaN delta or x0,
+# and on a mean x0 + delta * t that overflows
 expect_besq_error() {
   local code=0
   weylgas besq "$@" || code=$?
@@ -25,6 +26,10 @@ expect_besq_error --delta 1 --x0 nan --t 1
 expect_besq_error --delta 3 --x0 1 --t inf
 expect_besq_error --delta inf --x0 1 --t 1
 expect_besq_error --delta 1 --x0 inf --t 1
+expect_besq_error --delta 1e308 --x0 1 --t 10
+# x0 / 2t underflows to 0: the hitting probability is Q(1/2, 0) = 1
+weylgas besq --delta 1 --x0 1e-320 --t 1e10 > "$out/besq_underflow.json"
+grep -q '"hit_probability": 1.0' "$out/besq_underflow.json"
 weylgas verify --scope all --report "$out/verify.json"
 # the oracle checks its hitting law on both sides of x0/(2t) = 2 - delta/2
 python -c '

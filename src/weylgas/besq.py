@@ -104,9 +104,12 @@ def besq_hit_probability(spec: BesqSpec, t: float) -> float:
         raise ValueError("origin is not attainable for delta >= 2")
     if not t > 0:  # False on NaN
         raise ValueError("t must be positive")
-    if spec.x0 == 0:
+    z = spec.x0 / (2.0 * t)
+    if z == 0:  # x0 = 0, or x0 / 2t underflows: Q(a, 0) = 1
         return 1.0
-    return _gamma_q(1.0 - spec.delta / 2.0, spec.x0 / (2.0 * t))
+    if z == math.inf:  # x0 / 2t overflows: Q(a, inf) = 0
+        return 0.0
+    return _gamma_q(1.0 - spec.delta / 2.0, z)
 
 
 def besq_zero_dimension(delta: float) -> float:

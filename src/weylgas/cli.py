@@ -125,11 +125,14 @@ def besq(delta, x0, t):
         spec = BesqSpec(delta=delta, x0=x0)  # rejects a negative, infinite or NaN value
         if not 0 < t < math.inf:  # at every delta; False on NaN
             raise ValueError("t must be finite and positive")
+        mean = x0 + delta * t
+        if mean == math.inf:  # JSON has no Infinity
+            raise ValueError("x0 + delta * t overflows")
         out = {
             "delta": delta,
             "x0": x0,
             "t": t,
-            "mean": x0 + delta * t,
+            "mean": mean,
             "zero_set_dimension": besq_zero_dimension(delta),
             "hit_probability": besq_hit_probability(spec, t) if delta < 2 else 0.0,
         }

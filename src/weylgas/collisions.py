@@ -9,7 +9,7 @@ paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ class CollisionEvent:
     active_roots: tuple[Root, ...]
     order: int  # projections below eps at the event minimum
     second_gap: float  # runner-up minus smallest projection at the minimum
-    tau_markers: dict = field(default_factory=dict)
+    tau_markers: dict  # n -> tau_n, for each tau_n inside the event
 
 
 def _interp_crossing(t0, v0, t1, v1, eps):
@@ -242,7 +242,6 @@ class EnsembleCollector:
     def __init__(self, R: RootSystem, w, n_paths: int, horizon: float,
                  eps_list: Sequence[float], dim_eps: float,
                  scales: Sequence[float]):
-        self.R = R
         self.weights = resolve_weights(R, w)
         self.P = n_paths
         self.T = horizon

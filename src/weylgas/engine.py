@@ -60,9 +60,9 @@ class TrajectoryRecord:
     step_sizes: np.ndarray  # (n,)
     master_seed: int
     traj_index: int
-    lifetime_flag: bool = False  # explosion proxy triggered before horizon
-    stuck: bool = False  # persistent rejection at the dt floor
-    rejected_steps: int = 0
+    lifetime_flag: bool  # explosion proxy triggered before horizon
+    stuck: bool  # persistent rejection at the dt floor
+    rejected_steps: int
 
 
 @dataclass
@@ -75,7 +75,7 @@ class EnsembleResult:
     stuck_flags: np.ndarray  # (P,) bool
     rejected_steps: np.ndarray  # (P,) int
     accepted_steps: np.ndarray  # (P,) int
-    records: Optional[list] = None
+    records: Optional[list]  # TrajectoryRecords, None unless recorded
 
 
 def _repulsive_drift(proj: np.ndarray, kvals: np.ndarray,

@@ -5,14 +5,14 @@ collision-dimension predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .roots import RootSystem
 
-PRESETS = ("dyson", "bessel_general", "bessel_b", "wishart", "jacobi", "custom")
+PRESETS = ("dyson", "bessel_general", "bessel_b", "wishart", "jacobi")
 
 
 @dataclass(frozen=True)
@@ -23,17 +23,19 @@ class CoefficientModel:
     ``coupling(x, R)`` maps states of shape (..., N) to per-positive-root
     values of shape (..., M).  Evaluators must be pure; instances are
     immutable and safe to share across workers.
+
+    ``bounds`` is the closed-form collision-dimension prediction, which
+    ``dimension_bound_predictor`` returns as it is; None makes the predictor
+    sample the coupling-to-diffusion ratio on a grid.  ``monotone`` declares
+    that drift and coupling are both monotone (assumptions A2 and A3): the
+    grid path then trusts its lower bound to hold almost surely.
     """
 
     sigma: Callable[[np.ndarray], np.ndarray]
     drift_b: Callable[[np.ndarray], np.ndarray]
     coupling: Callable[[np.ndarray, RootSystem], np.ndarray]
-    preset: str = "custom"
-    params: dict = field(default_factory=dict)
-    # declared structural flags (A2/A3), which the predictor trusts
-    monotone_drift: bool = False
-    monotone_coupling: bool = False
-    bounded_ratios: bool = True
+    bounds: Optional[DimensionBounds] = None
+    monotone: bool = False
 
     def coupling_values(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
         return self.coupling(np.asarray(x, dtype=float), R)
@@ -101,6 +103,12 @@ class _PairCoupling:
         return self._f(x[..., ii], x[..., jj])
 
 
+def _exact(d: float, note: str = "") -> DimensionBounds:
+    """Closed-form bounds: the dimension is max(0, d)."""
+    d = max(0.0, d)
+    return DimensionBounds(d, d, None, True, note)
+
+
 def make_preset(name: str, **params) -> CoefficientModel:
     """Build one of the preset coefficient models.
 
@@ -111,6 +119,10 @@ def make_preset(name: str, **params) -> CoefficientModel:
                     on an A system in the y coordinates
     jacobi:         sigma(x)=sqrt(1-x^2), b(x)=k[p-q-(p+q)x]/2,
                     k_ij(x)=k(1-x_i*x_j) on an A system in (-1, 1)
+
+    All but bessel_general carry closed-form dimension ``bounds``: dyson
+    1/2 - k; bessel_b 1/2 - min(k1, k2); wishart (1 - kappa)/2; jacobi an
+    upper bound 1/2 - k and no non-trivial lower bound.
     """
     if name == "dyson":
         k = float(params["k"])
@@ -119,8 +131,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
             coupling=ConstantCoupling(lambda R: np.full(R.M, k)),
-            preset="dyson", params={"k": k},
-            monotone_drift=True, monotone_coupling=True,
+            bounds=_exact(0.5 - k),
         )
 
     if name == "bessel_general":
@@ -135,8 +146,6 @@ def make_preset(name: str, **params) -> CoefficientModel:
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
             coupling=ConstantCoupling(per_root),
-            preset="bessel_general", params={"k_values": list(np.atleast_1d(k_values))},
-            monotone_drift=True, monotone_coupling=False,
         )
 
     if name == "bessel_b":
@@ -153,10 +162,7 @@ def make_preset(name: str, **params) -> CoefficientModel:
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
             coupling=ConstantCoupling(per_root),
-            preset="bessel_b", params={"k1": k1, "k2": k2},
-            # the ratio inequality couples the short and long walls; it
-            # holds up to the origin wall only for equal constants
-            monotone_drift=True, monotone_coupling=(k1 == k2),
+            bounds=_exact(0.5 - min(k1, k2)),
         )
 
     if name == "wishart":
@@ -168,9 +174,8 @@ def make_preset(name: str, **params) -> CoefficientModel:
             sigma=lambda y: 2.0 * np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0)),
             drift_b=lambda y: np.full_like(np.asarray(y, dtype=float), kappa * a),
             coupling=_PairCoupling(name, lambda xi, xj: kappa * (xi + xj)),
-            preset="wishart", params={"kappa": kappa, "a": a},
-            monotone_drift=False, monotone_coupling=True,
-            bounded_ratios=False,
+            bounds=_exact(0.5 * (1.0 - kappa),
+                          "valid when particles do not hit zero: a >= 2/kappa + N - 1"),
         )
 
     if name == "jacobi":
@@ -189,18 +194,11 @@ def make_preset(name: str, **params) -> CoefficientModel:
             sigma=lambda y: np.sqrt(np.maximum(1.0 - np.asarray(y, dtype=float) ** 2, 0.0)),
             drift_b=lambda y: 0.5 * k * (p - q - (p + q) * np.asarray(y, dtype=float)),
             coupling=_PairCoupling(name, lambda xi, xj: k * (1.0 - xi * xj)),
-            preset="jacobi", params={"k": k, "p": p, "q": q, "N": N},
-            monotone_drift=True, monotone_coupling=True,
-            bounded_ratios=False,
-        )
-
-    if name == "custom":
-        return CoefficientModel(
-            sigma=params["sigma"], drift_b=params["drift_b"], coupling=params["coupling"],
-            preset="custom", params=params.get("params", {}),
-            monotone_drift=params.get("monotone_drift", False),
-            monotone_coupling=params.get("monotone_coupling", False),
-            bounded_ratios=params.get("bounded_ratios", True),
+            bounds=DimensionBounds(
+                None, max(0.0, 0.5 - k), None, True,
+                "no non-trivial lower bound: the coupling-to-diffusion ratio "
+                "is unbounded near the walls",
+            ),
         )
 
     raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
@@ -285,47 +283,25 @@ def dimension_bound_predictor(model: CoefficientModel, R: RootSystem,
                               grid: Optional[np.ndarray] = None) -> DimensionBounds:
     """Predicted bounds on the collision-time Hausdorff dimension.
 
-    Presets with constant coupling-to-diffusion ratio use the closed forms
-    (dyson: 1/2 - k; bessel_b: 1/2 - min(k1, k2); wishart: (1 - kappa)/2;
-    jacobi: upper bound 1/2 - k, no non-trivial lower bound) and build no
-    grid: ``grid`` is ignored for them and ``constants`` is None.  Otherwise
-    the bounds are computed from grid inf/sup of the ratio on ``grid``
-    (default: a 64^min(N,3)-point chamber grid), and ``constants`` holds
-    them; an unbounded ratio without a preset shortcut is an error.
+    A model with closed-form ``bounds`` (the dyson, bessel_b, wishart and
+    jacobi presets) gets them back without any grid: ``grid`` is ignored and
+    ``constants`` is None.  Otherwise the bounds are computed from grid
+    inf/sup of the ratio on ``grid`` (default: a 64^min(N,3)-point chamber
+    grid), and ``constants`` holds them; a ratio that diverges on the grid
+    is an error.
     """
-    if model.preset in ("dyson", "bessel_b", "wishart", "jacobi"):
+    if model.bounds is not None:
         model.coupling_values(np.zeros(R.N), R)  # raises on a preset/family mismatch
-    if model.preset == "dyson":
-        d = max(0.0, 0.5 - model.params["k"])
-        return DimensionBounds(d, d, None, True)
-    if model.preset == "bessel_b":
-        d = max(0.0, 0.5 - min(model.params["k1"], model.params["k2"]))
-        return DimensionBounds(d, d, None, True)
-    if model.preset == "wishart":
-        d = max(0.0, 0.5 * (1.0 - model.params["kappa"]))
-        note = "valid when particles do not hit zero: a >= 2/kappa + N - 1"
-        return DimensionBounds(d, d, None, True, note)
-    if model.preset == "jacobi":
-        upper = max(0.0, 0.5 - model.params["k"])
-        return DimensionBounds(
-            None, upper, None, True,
-            "no non-trivial lower bound: the coupling-to-diffusion ratio "
-            "is unbounded near the walls",
-        )
+        return model.bounds
 
     if grid is None:
         grid = chamber_grid(R, n_points=64 ** min(R.N, 3), seed=7)
     constants = compute_bound_constants(model, R, grid)
-    if not model.bounded_ratios:
-        raise ValueError(
-            "unbounded coupling/diffusion ratio declared and no preset "
-            "shortcut available"
-        )
     if not np.isfinite(constants.b_hat) or not np.isfinite(constants.h_tilde):
         raise ValueError("ratio b/sigma^2 or k/sigma^2 diverges on the grid")
 
     upper = max(0.0, 0.5 - min(constants.eta_check.values()))
-    if model.monotone_drift and model.monotone_coupling:
+    if model.monotone:
         lower = max(0.0, 0.5 - min(constants.eta_hat.values()))
         note = "lower bound holds almost surely (monotone drift + coupling)"
     else:

@@ -82,6 +82,12 @@ def test_hit_probability_closed_form_values():
         p = besq_hit_probability(BesqSpec(1.0, x0), t)
         assert p == pytest.approx(2 * stats.norm.sf(np.sqrt(x0 / t)), rel=1e-12)
     assert besq_hit_probability(BesqSpec(0.5, 0.0), 1.0) == 1.0
+    # z = x0 / 2t rounds to 0 where it underflows or 2t overflows: Q(a, 0) = 1
+    # is then the correctly rounded value of Q(1/2, z) at the true z
+    assert besq_hit_probability(BesqSpec(1.0, 1e-320), 1e10) == 1.0
+    assert besq_hit_probability(BesqSpec(1.0, 1.0), 1e308) == 1.0
+    # and where x0 / 2t overflows, Q(a, inf) = 0
+    assert besq_hit_probability(BesqSpec(1.0, 1e308), 1e-300) == 0.0
 
 
 def test_hit_probability_matches_scipy_gammaincc():

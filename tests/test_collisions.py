@@ -17,8 +17,8 @@ def _record(times, states):
     times = np.asarray(times, float)
     states = np.asarray(states, float)
     return TrajectoryRecord(times=times, states=states,
-                            step_sizes=np.diff(times),
-                            master_seed=0, traj_index=0)
+                            step_sizes=np.diff(times), master_seed=0, traj_index=0,
+                            lifetime_flag=False, stuck=False, rejected_steps=0)
 
 
 def test_detect_events_triangle_dip():

@@ -9,7 +9,7 @@ from weylgas.engine import (_CHUNK_ROWS, StepPolicy, _propose,
                             boundary_entry_push, e_poly_drift,
                             log_e_drift_components, mc_drift_estimate,
                             simulate_ensemble, simulate_trajectory)
-from weylgas.models import make_preset
+from weylgas.models import CoefficientModel, make_preset
 from weylgas.rng import trajectory_generator
 from weylgas.roots import build_root_system, chamber_classify
 from weylgas.sympoly import elementary_rows
@@ -130,8 +130,7 @@ def test_lanes_leaving_mid_run_replay_alone():
         proposals.append(len(y))
         return dyson.sigma(y)
 
-    m = make_preset("custom", sigma=sigma, drift_b=dyson.drift_b,
-                    coupling=dyson.coupling)
+    m = CoefficientModel(sigma=sigma, drift_b=dyson.drift_b, coupling=dyson.coupling)
     x0 = np.array([-0.05, 0.05])
     policy, seed = StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5), 1
     res = simulate_ensemble(m, R, x0, 0.1, policy, seed, n_paths=8, record=True)
@@ -370,8 +369,7 @@ def test_boundary_start_enters_interior(dyson2):
 
 def test_explosion_flag():
     # huge positive drift blows the state past the explosion radius
-    m = make_preset(
-        "custom",
+    m = CoefficientModel(
         sigma=lambda y: np.ones_like(y),
         drift_b=lambda y: np.full_like(y, 1e8),
         coupling=lambda x, R: np.full(x.shape[:-1] + (R.M,), 0.5),
@@ -527,8 +525,7 @@ def test_strong_error_shrinks_with_dt(dyson2):
 
 def test_stuck_raises_for_single_trajectory():
     # zero-noise model pinned against the wall with negative drift
-    m = make_preset(
-        "custom",
+    m = CoefficientModel(
         sigma=lambda y: np.full_like(y, 1e-12),
         drift_b=lambda y: np.where(y > 0, -1e3, 1e3),
         coupling=lambda x, R: np.full(x.shape[:-1] + (R.M,), 1e-12),

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import weylgas.models as models
-from weylgas.models import (ConstantCoupling, chamber_grid, compute_bound_constants,
-                            dimension_bound_predictor, make_preset,
-                            wishart_param_map)
+from weylgas.config import _schema
+from weylgas.models import (PRESETS, CoefficientModel, ConstantCoupling, chamber_grid,
+                            compute_bound_constants, dimension_bound_predictor,
+                            make_preset, wishart_param_map)
 from weylgas.roots import build_root_system
 
 
@@ -100,8 +103,8 @@ def test_constant_coupling_values_contract(name, params, family):
         assert all(row.tobytes() == vals.tobytes() for row in k.reshape(-1, R.M))
     for other in (make_preset("wishart", kappa=1.0, a=4.0),
                   make_preset("jacobi", k=1.0, p=5.0, q=5.0, N=3),
-                  make_preset("custom", sigma=lambda y: m.sigma(y), drift_b=m.drift_b,
-                              coupling=m.coupling)):
+                  CoefficientModel(sigma=lambda y: m.sigma(y), drift_b=m.drift_b,
+                                   coupling=m.coupling)):
         assert other.unit_constants(build_root_system("A", 3)) is None
 
 
@@ -217,19 +220,28 @@ def test_predictor_rejects_preset_on_wrong_family(preset, params, family):
 
 
 def test_predictor_grid_path_matches_dyson():
-    """A custom constant-coefficient model reproduces the Dyson closed form."""
-    m = make_preset(
-        "custom",
+    """A user-built constant-coefficient model reproduces the Dyson closed form."""
+    m = CoefficientModel(
         sigma=lambda y: np.ones_like(y),
         drift_b=lambda y: np.zeros_like(y),
         coupling=lambda x, R: np.full(x.shape[:-1] + (R.M,), 0.3),
-        monotone_drift=True, monotone_coupling=True,
+        monotone=True,
     )
     R = build_root_system("A", 3)
     b = dimension_bound_predictor(m, R, grid=chamber_grid(R, 2000, seed=6))
     assert not b.closed_form
     assert b.upper == pytest.approx(0.2, abs=1e-9)
     assert b.lower == pytest.approx(0.2, abs=1e-9)
+    assert "almost surely" in b.note
+    b = dimension_bound_predictor(dataclasses.replace(m, monotone=False), R,
+                                  grid=chamber_grid(R, 2000, seed=6))
+    assert "positive probability only" in b.note
+
+
+def test_presets_are_the_schema_enum():
+    assert list(PRESETS) == _schema()["properties"]["preset"]["enum"]
+    with pytest.raises(ValueError, match="unknown preset"):
+        make_preset("custom", sigma=None, drift_b=None, coupling=None)
 
 
 def test_bound_constants_dyson_ratio():

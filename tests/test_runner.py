@@ -548,17 +548,24 @@ def test_cli_besq():
     doc = json.loads(res.output)
     assert doc["hit_probability"] == pytest.approx(0.3173105, abs=1e-6)
     assert doc["zero_set_dimension"] == 0.5
+    # x0 / 2t underflows to 0: Q(1/2, 0) = 1
+    res = CliRunner().invoke(
+        main, ["besq", "--delta", "1", "--x0", "1e-320", "--t", "1e10"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["hit_probability"] == 1.0
 
 
 @pytest.mark.parametrize("delta, x0, t", [
     ("3", "1", "-1"), ("3", "1", "0"), ("3", "1", "nan"), ("1", "1", "-1"),
     ("1", "1", "nan"), ("nan", "1", "1"), ("1", "nan", "1"), ("-1", "1", "1"),
     ("3", "1", "inf"), ("1", "1", "inf"), ("inf", "1", "1"), ("1", "inf", "1"),
+    ("1e308", "1", "10"),
 ])
 def test_cli_besq_rejects_invalid_input(delta, x0, t):
-    """A time that is not positive and finite, at any delta, and a delta or
-    x0 that is negative, infinite or NaN exit with code 2 and print no
-    result (JSON has no NaN or Infinity)."""
+    """A time that is not positive and finite, at any delta, a delta or x0
+    that is negative, infinite or NaN, and a mean x0 + delta * t that
+    overflows exit with code 2 and print no result (JSON has no NaN or
+    Infinity)."""
     res = CliRunner().invoke(main, ["besq", "--delta", delta, "--x0", x0, "--t", t])
     assert res.exit_code == 2, res.output
     assert "mean" not in res.output
