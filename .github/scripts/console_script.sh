@@ -71,3 +71,7 @@ expect_config_error infinite_T '{"family": "A", "N": 2, "preset": "dyson", "k": 
   "ensemble": 8, "seed": 7}'
 expect_config_error minus_infinite_dt_max '{"family": "A", "N": 2, "preset": "dyson", "k": 0.2,
   "T": 0.5, "ensemble": 8, "seed": 7, "policy": {"dt_max": -Infinity}}'
+expect_config_error k_values_count '{"family": "B", "N": 3, "preset": "bessel_general",
+  "k_values": [0.3, 0.4], "T": 0.5, "ensemble": 8, "seed": 7}'
+expect_config_error wrong_family '{"family": "B", "N": 3, "preset": "dyson", "k": 0.2, "T": 0.5,
+  "ensemble": 8, "seed": 7}'

@@ -20,7 +20,7 @@ scales = [T / 2**j for j in range(3, 12)]
 e1 = R.positive_roots.index((1, 0))
 
 for k1, k2 in [(0.1, 0.4), (0.4, 0.1), (0.1, 0.6)]:
-    model = make_preset("bessel_b", k1=k1, k2=k2)
+    model = make_preset("bessel_b", R, k1=k1, k2=k2)
     col = EnsembleCollector(R, None, n_paths, T, eps_list=[1e-3],
                             dim_eps=1e-3, scales=scales)
     simulate_ensemble(model, R, np.array([0.3, 0.8]), T,

@@ -23,7 +23,7 @@ x0 = 0.5 * (np.arange(3) - 1.0)
 
 print(f"{'k':>5} {'predicted':>10} {'estimated':>10} {'stderr':>8}")
 for k in (0.1, 0.25, 0.4):
-    model = make_preset("dyson", k=k)
+    model = make_preset("dyson", R, k=k)
     bounds = dimension_bound_predictor(model, R)
     col = EnsembleCollector(R, None, n_paths, T, eps_list=[1e-3],
                             dim_eps=1e-3, scales=scales)
@@ -35,7 +35,7 @@ for k in (0.1, 0.25, 0.4):
 
 print("\nat k >= 1/2 the repulsion wins and collisions stop entirely")
 print("(well-separated start, so any event would be a genuine collision):")
-model = make_preset("dyson", k=0.5)
+model = make_preset("dyson", R, k=0.5)
 col = EnsembleCollector(R, None, n_paths, T, eps_list=[1e-4],
                         dim_eps=1e-4, scales=scales)
 simulate_ensemble(model, R, 16.0 * x0, T, StepPolicy(dt_max=1e-3),

@@ -24,13 +24,12 @@ n_paths, T = 4000, 1.0
 pol = StepPolicy(dt_max=2.5e-4)
 x0 = np.array([0.5, 1.0, 1.5])
 
-bessel = make_preset("bessel_b", k1=k1, k2=k2)
-res_b = simulate_ensemble(bessel, build_root_system("B", N), x0, T, pol,
-                          master_seed=31, n_paths=n_paths)
+RB, RA = build_root_system("B", N), build_root_system("A", N)
+bessel = make_preset("bessel_b", RB, k1=k1, k2=k2)
+res_b = simulate_ensemble(bessel, RB, x0, T, pol, master_seed=31, n_paths=n_paths)
 
-wishart = make_preset("wishart", kappa=kappa, a=a)
-res_w = simulate_ensemble(wishart, build_root_system("A", N), x0**2, T, pol,
-                          master_seed=32, n_paths=n_paths)
+wishart = make_preset("wishart", RA, kappa=kappa, a=a)
+res_w = simulate_ensemble(wishart, RA, x0**2, T, pol, master_seed=32, n_paths=n_paths)
 
 top_b = np.max(res_b.final_states**2, axis=1)
 top_w = np.max(res_w.final_states, axis=1)

@@ -3,8 +3,12 @@
 A run config is a plain JSON document.  ``load_config`` checks it against
 the shipped ``schemas/run_config_v1.json``, the single source of truth for
 its keys, types and bounds, and reports every violation at once, including
-the constraints the schema cannot express (preset parameter presence,
-family compatibility, the Jacobi wall condition, the weight count).
+the constraints the schema cannot express.  Preset parameter presence and
+the sweep parameters are checked against ``models.PRESETS``.  The rules of
+the root system and of the preset on it (D needs N >= 3, the preset's
+family, the Jacobi wall condition, the ``bessel_general`` value count) are
+reported as ``build_root_system`` and ``make_preset`` raise them, with the
+x0 and weight checks, once the schema holds.
 
 The schema is read by ``_schema_errors``, a small draft-07 interpreter of
 the keywords the schema uses (``_KEYWORDS``), so validation needs no
@@ -25,27 +29,12 @@ import numpy as np
 
 from .collisions import dyadic_scales
 from .engine import StepPolicy
-from .models import CoefficientModel, make_preset
+from .models import PRESETS, CoefficientModel, make_preset
 from .roots import RootSystem, build_root_system, chamber_classify, resolve_weights
 
 SCHEMA_VERSION = 1
 
-_PRESET_PARAMS = {
-    "dyson": ("k",),
-    "bessel_general": ("k_values",),
-    "bessel_b": ("k1", "k2"),
-    "wishart": ("kappa", "a"),
-    "jacobi": ("k", "p", "q"),
-}
-
 _X0_DEFAULT = {"mode": "equispaced"}
-
-_PRESET_FAMILY = {
-    "dyson": "A",
-    "bessel_b": "B",
-    "wishart": "A",
-    "jacobi": "A",
-}
 
 
 class ConfigError(ValueError):
@@ -169,10 +158,7 @@ class RunConfig:
         return build_root_system(self.family, self.N)
 
     def model(self) -> CoefficientModel:
-        params = dict(self.params)
-        if self.preset == "jacobi":
-            params.setdefault("N", self.N)
-        return make_preset(self.preset, **params)
+        return make_preset(self.preset, self.root_system(), **self.params)
 
     def x0_array(self, R: RootSystem) -> np.ndarray:
         if self.x0_mode == "equispaced":
@@ -215,23 +201,11 @@ def _collect_violations(doc: dict) -> list[str]:
         return violations
 
     preset = doc["preset"]
-    family = doc["family"]
     N = doc["N"]
-    for p in _PRESET_PARAMS[preset]:
+    allowed = PRESETS[preset][1]
+    for p in allowed:
         if p not in doc:
             violations.append(f"preset {preset!r} requires parameter {p!r}")
-    want = _PRESET_FAMILY.get(preset)
-    if want is not None and family != want:
-        violations.append(f"preset {preset!r} requires root system family {want!r}")
-    if family == "D" and N < 3:
-        violations.append("family D requires N >= 3")
-    if preset == "jacobi" and all(p in doc for p in ("k", "p", "q")):
-        wall = N - 1 + 2.0 / doc["k"]
-        if min(doc["p"], doc["q"]) < wall:
-            violations.append(
-                f"jacobi wall condition violated: min(p, q) >= N - 1 + 2/k = {wall:g} "
-                "is required for a unique strong solution"
-            )
     x0 = doc.get("x0", _X0_DEFAULT)
     if x0["mode"] in ("explicit", "boundary"):
         vals = x0.get("values")
@@ -241,7 +215,6 @@ def _collect_violations(doc: dict) -> list[str]:
             violations.append(f"x0 values must have length N = {N}")
     sweep = doc.get("sweep")
     if sweep is not None:
-        allowed = _PRESET_PARAMS[preset]
         for key in ("parameter", "parameter2"):
             if key in sweep and sweep[key] not in allowed:
                 violations.append(
@@ -263,7 +236,7 @@ def parse_config(doc: dict) -> RunConfig:
     if violations:
         raise ConfigError(violations)
 
-    params = {p: doc[p] for p in _PRESET_PARAMS[doc["preset"]]}
+    params = {p: doc[p] for p in PRESETS[doc["preset"]][1]}
     x0 = doc.get("x0", _X0_DEFAULT)
     policy = StepPolicy(**doc.get("policy", {}))
 

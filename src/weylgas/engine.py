@@ -108,7 +108,7 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
     Returns (proposals, their projections, each row's smallest projection,
     the smallest of those, mask of the rows inside), the mask being None
     when every row is inside (a NaN row is not).  Given ``unit_k``, the
-    model's ``unit_constants(R)``, sigma = 1 and b = 0 are not evaluated:
+    model's ``unit_constants()``, sigma = 1 and b = 0 are not evaluated:
     same bits.
     """
     pm = R.positive_matrix
@@ -221,7 +221,7 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
     half_r2 = radius * radius / 2
     stuck_scale = 0.5 ** policy.max_rejects
     t_done = horizon * (1.0 - 1e-12)
-    unit_k = model.unit_constants(R)  # None unless sigma = 1, b = 0, constant k
+    unit_k = model.unit_constants()  # None unless sigma = 1, b = 0, constant k
     it = 0  # iterations so far = proposals made by every running lane
     # all_ok: the last iteration accepted every lane, so every scale is 1
     # and smin, the smallest proposal projection, is at most every pmin;

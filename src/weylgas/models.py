@@ -12,17 +12,26 @@ import numpy as np
 
 from .roots import RootSystem
 
-PRESETS = ("dyson", "bessel_general", "bessel_b", "wishart", "jacobi")
+# preset name -> (the family it runs on, None for any; its parameter names)
+PRESETS = {
+    "dyson": ("A", ("k",)),
+    "bessel_general": (None, ("k_values",)),
+    "bessel_b": ("B", ("k1", "k2")),
+    "wishart": ("A", ("kappa", "a")),
+    "jacobi": ("A", ("k", "p", "q")),
+}
 
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """The (sigma, b, k_alpha) triple defining the particle SDE.
+    """The (sigma, b, k_alpha) triple defining the particle SDE on one root
+    system.
 
     ``sigma`` and ``drift_b`` act elementwise on coordinate arrays;
     ``coupling(x, R)`` maps states of shape (..., N) to per-positive-root
-    values of shape (..., M).  Evaluators must be pure; instances are
-    immutable and safe to share across workers.
+    values of shape (..., M), for the root system ``R`` the model was built
+    for.  Evaluators must be pure; instances are immutable and safe to share
+    across workers.
 
     ``bounds`` is the closed-form collision-dimension prediction, which
     ``dimension_bound_predictor`` returns as it is; None makes the predictor
@@ -40,11 +49,11 @@ class CoefficientModel:
     def coupling_values(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
         return self.coupling(np.asarray(x, dtype=float), R)
 
-    def unit_constants(self, R: RootSystem) -> Optional[np.ndarray]:
-        """The ``ConstantCoupling`` values on ``R`` if sigma = 1, b = 0; else None."""
+    def unit_constants(self) -> Optional[np.ndarray]:
+        """The ``ConstantCoupling`` values if sigma = 1 and b = 0; else None."""
         if (self.sigma is _ones and self.drift_b is _zeros
                 and isinstance(self.coupling, ConstantCoupling)):
-            return self.coupling.values(R)
+            return self.coupling.values
         return None
 
 
@@ -57,24 +66,16 @@ def _zeros(y) -> np.ndarray:  # zero background drift, float, of the shape of y
 
 
 class ConstantCoupling:
-    """A coupling constant in x: ``values(R)`` is the cached, read-only (M,)
-    array of constants on ``R``; a call fills a fresh (..., M) array with it."""
+    """A coupling constant in x: ``values`` is the read-only (M,) array of
+    constants; a call fills a fresh (..., M) array with it."""
 
-    def __init__(self, values_per_root: Callable[[RootSystem], np.ndarray]):
-        self._per_root = values_per_root
-        self._last = (None, None)  # the last root system seen and its constants
-
-    def values(self, R: RootSystem) -> np.ndarray:
-        seen = self._last  # one read, so a concurrent call cannot mix two pairs
-        if seen[0] is not R:
-            vals = np.array(self._per_root(R), dtype=float)
-            vals.flags.writeable = False
-            seen = self._last = (R, vals)
-        return seen[1]
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+        self.values.flags.writeable = False
 
     def __call__(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
-        out = np.empty(np.shape(x)[:-1] + (R.M,))
-        out[...] = self.values(R)
+        out = np.empty(np.shape(x)[:-1] + self.values.shape)
+        out[...] = self.values
         return out
 
 
@@ -84,87 +85,76 @@ def _pair_indices(R: RootSystem) -> tuple[np.ndarray, np.ndarray]:
     return cols[::2].copy(), cols[1::2].copy()  # contiguous: faster to index by
 
 
-class _PairCoupling:
-    """k_alpha(x) = f(x_i, x_j) at each root alpha = e_j - e_i of an A
-    system; the index pairs are found once per root system, as
-    ``ConstantCoupling`` finds its constants."""
-
-    def __init__(self, preset: str, f: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self._preset, self._f = preset, f
-        self._last = (None, None)  # the last root system seen and its pairs
-
-    def __call__(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
-        seen = self._last
-        if seen[0] is not R:
-            if R.family != "A":
-                raise ValueError(f"{self._preset} preset runs on an A root system")
-            seen = self._last = (R, _pair_indices(R))
-        ii, jj = seen[1]
-        return self._f(x[..., ii], x[..., jj])
-
-
 def _exact(d: float, note: str = "") -> DimensionBounds:
     """Closed-form bounds: the dimension is max(0, d)."""
     d = max(0.0, d)
     return DimensionBounds(d, d, None, True, note)
 
 
-def make_preset(name: str, **params) -> CoefficientModel:
-    """Build one of the preset coefficient models.
+def make_preset(name: str, R: RootSystem, **params) -> CoefficientModel:
+    """Build one of the preset coefficient models for the root system ``R``.
 
     dyson:          sigma=1, b=0, k_alpha = k on an A system (k > 0)
-    bessel_general: sigma=1, b=0, reflection-invariant per-root constants
+    bessel_general: sigma=1, b=0, k_values one constant, or one per positive
+                    root equal on roots of equal length (Weyl-invariant)
     bessel_b:       sigma=1, b=0, k1 on {e_i}, k2 on {e_j +/- e_i} (B system)
     wishart:        sigma(y)=2*sqrt(y), b=kappa*a, k_ij(y)=kappa*(y_i+y_j)
                     on an A system in the y coordinates
     jacobi:         sigma(x)=sqrt(1-x^2), b(x)=k[p-q-(p+q)x]/2,
                     k_ij(x)=k(1-x_i*x_j) on an A system in (-1, 1)
 
-    All but bessel_general carry closed-form dimension ``bounds``: dyson
-    1/2 - k; bessel_b 1/2 - min(k1, k2); wishart (1 - kappa)/2; jacobi an
-    upper bound 1/2 - k and no non-trivial lower bound.
+    ``PRESETS`` names each preset's family and parameters; a preset on
+    another family, a parameter out of range and the jacobi wall condition
+    raise ValueError.  All but bessel_general carry closed-form dimension
+    ``bounds``: dyson 1/2 - k; bessel_b 1/2 - min(k1, k2); wishart
+    (1 - kappa)/2; jacobi an upper bound 1/2 - k and no non-trivial lower
+    bound.
     """
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {tuple(PRESETS)}")
+    family = PRESETS[name][0]
+    if family is not None and R.family != family:
+        raise ValueError(f"preset {name!r} requires root system family {family!r}")
+
     if name == "dyson":
         k = float(params["k"])
         if k <= 0:
             raise ValueError("dyson preset requires k > 0")
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
-            coupling=ConstantCoupling(lambda R: np.full(R.M, k)),
+            coupling=ConstantCoupling(np.full(R.M, k)),
             bounds=_exact(0.5 - k),
         )
 
     if name == "bessel_general":
-        k_values = params["k_values"]
-
-        def per_root(R: RootSystem) -> np.ndarray:
-            arr = np.broadcast_to(np.asarray(k_values, dtype=float), (R.M,))
-            if np.any(arr <= 0):
-                raise ValueError("coupling constants must be positive")
-            return arr
-
+        k_values = np.asarray(params["k_values"], dtype=float)
+        if k_values.shape not in ((), (1,), (R.M,)):
+            raise ValueError(f"bessel_general k_values must be one value or M = {R.M} "
+                             f"values, not {k_values.size}")
+        k_values = np.broadcast_to(k_values, (R.M,))
+        if np.any(k_values <= 0):
+            raise ValueError("coupling constants must be positive")
+        # roots of equal length form one Weyl orbit in A, B and D
+        lengths = (R.positive_matrix**2).sum(axis=1)
+        if any(np.ptp(k_values[lengths == n]) for n in np.unique(lengths)):
+            raise ValueError("bessel_general k_values must be equal on roots of "
+                             "equal length, to be invariant under the Weyl group")
         return CoefficientModel(
-            sigma=_ones, drift_b=_zeros,
-            coupling=ConstantCoupling(per_root),
+            sigma=_ones, drift_b=_zeros, coupling=ConstantCoupling(k_values),
         )
 
     if name == "bessel_b":
         k1, k2 = float(params["k1"]), float(params["k2"])
         if k1 <= 0 or k2 <= 0:
             raise ValueError("bessel_b preset requires k1 > 0 and k2 > 0")
-
-        def per_root(R: RootSystem) -> np.ndarray:
-            if R.family != "B":
-                raise ValueError("bessel_b preset requires a B root system")
-            lengths = (R.positive_matrix != 0).sum(axis=1)
-            return np.where(lengths == 1, k1, k2)
-
+        lengths = (R.positive_matrix != 0).sum(axis=1)
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
-            coupling=ConstantCoupling(per_root),
+            coupling=ConstantCoupling(np.where(lengths == 1, k1, k2)),
             bounds=_exact(0.5 - min(k1, k2)),
         )
 
+    ii, jj = _pair_indices(R)  # wishart and jacobi: k_alpha = f(x_i, x_j)
     if name == "wishart":
         kappa, a = float(params["kappa"]), float(params["a"])
         if kappa <= 0 or a <= 0:
@@ -173,35 +163,31 @@ def make_preset(name: str, **params) -> CoefficientModel:
         return CoefficientModel(
             sigma=lambda y: 2.0 * np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0)),
             drift_b=lambda y: np.full_like(np.asarray(y, dtype=float), kappa * a),
-            coupling=_PairCoupling(name, lambda xi, xj: kappa * (xi + xj)),
+            coupling=lambda x, R: kappa * (x[..., ii] + x[..., jj]),
             bounds=_exact(0.5 * (1.0 - kappa),
                           "valid when particles do not hit zero: a >= 2/kappa + N - 1"),
         )
 
-    if name == "jacobi":
-        k = float(params["k"])
-        p, q = float(params["p"]), float(params["q"])
-        N = int(params["N"])
-        if k <= 0:
-            raise ValueError("jacobi preset requires k > 0")
-        if min(p, q) < N - 1 + 2.0 / k:
-            raise ValueError(
-                f"jacobi preset requires min(p, q) >= N - 1 + 2/k "
-                f"= {N - 1 + 2.0 / k:g} for a unique strong solution"
-            )
-
-        return CoefficientModel(
-            sigma=lambda y: np.sqrt(np.maximum(1.0 - np.asarray(y, dtype=float) ** 2, 0.0)),
-            drift_b=lambda y: 0.5 * k * (p - q - (p + q) * np.asarray(y, dtype=float)),
-            coupling=_PairCoupling(name, lambda xi, xj: k * (1.0 - xi * xj)),
-            bounds=DimensionBounds(
-                None, max(0.0, 0.5 - k), None, True,
-                "no non-trivial lower bound: the coupling-to-diffusion ratio "
-                "is unbounded near the walls",
-            ),
+    k = float(params["k"])  # jacobi
+    p, q = float(params["p"]), float(params["q"])
+    if k <= 0:
+        raise ValueError("jacobi preset requires k > 0")
+    if min(p, q) < R.N - 1 + 2.0 / k:
+        raise ValueError(
+            f"jacobi preset requires min(p, q) >= N - 1 + 2/k "
+            f"= {R.N - 1 + 2.0 / k:g} for a unique strong solution"
         )
 
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    return CoefficientModel(
+        sigma=lambda y: np.sqrt(np.maximum(1.0 - np.asarray(y, dtype=float) ** 2, 0.0)),
+        drift_b=lambda y: 0.5 * k * (p - q - (p + q) * np.asarray(y, dtype=float)),
+        coupling=lambda x, R: k * (1.0 - x[..., ii] * x[..., jj]),
+        bounds=DimensionBounds(
+            None, max(0.0, 0.5 - k), None, True,
+            "no non-trivial lower bound: the coupling-to-diffusion ratio "
+            "is unbounded near the walls",
+        ),
+    )
 
 
 def wishart_param_map(k1: float, k2: float, N: int) -> tuple[float, float]:
@@ -216,12 +202,15 @@ def wishart_param_map(k1: float, k2: float, N: int) -> tuple[float, float]:
     return kappa, a
 
 
-def chamber_grid(R: RootSystem, n_points: int = 4096, scale: float = 1.0,
-                 seed: int = 0, margin: float = 1e-3) -> np.ndarray:
+_GRID_MARGIN = 1e-3  # chamber_grid's push off the walls, relative to scale
+
+
+def chamber_grid(R: RootSystem, n_points: int, seed: int,
+                 scale: float = 1.0) -> np.ndarray:
     """Deterministic sample of interior chamber points, shape (n, N).
 
     Uniform draws are folded into the chamber (sorted for A, sorted absolute
-    values for B/D) and pushed off the walls by ``margin``.
+    values for B/D) and pushed off the walls by ``_GRID_MARGIN``.
     """
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-scale, scale, size=(n_points, R.N))
@@ -230,7 +219,7 @@ def chamber_grid(R: RootSystem, n_points: int = 4096, scale: float = 1.0,
     else:
         pts = np.sort(np.abs(pts), axis=1)
     # separate coordinates so all projections are bounded away from zero
-    pts += margin * scale * np.arange(1, R.N + 1)
+    pts += _GRID_MARGIN * scale * np.arange(1, R.N + 1)
     proj = pts @ R.positive_matrix.T
     keep = np.all(proj > 0, axis=1)
     return pts[keep]
@@ -276,7 +265,7 @@ class DimensionBounds:
     upper: float
     constants: Optional[BoundConstants]  # None for the closed forms
     closed_form: bool
-    note: str = ""
+    note: str
 
 
 def dimension_bound_predictor(model: CoefficientModel, R: RootSystem,
@@ -291,7 +280,6 @@ def dimension_bound_predictor(model: CoefficientModel, R: RootSystem,
     is an error.
     """
     if model.bounds is not None:
-        model.coupling_values(np.zeros(R.N), R)  # raises on a preset/family mismatch
         return model.bounds
 
     if grid is None:

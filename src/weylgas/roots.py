@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,46 +154,6 @@ def _find_simple_roots(positive: tuple[Root, ...]) -> tuple[Root, ...]:
         if not decomposable:
             simple.append(alpha)
     return tuple(simple)
-
-
-def simple_roots(positive: Iterable[Root]) -> tuple[Root, ...]:
-    """The minimal generating subset of a positive system."""
-    return _find_simple_roots(tuple(tuple(a) for a in positive))
-
-
-def decompose_simple(alpha: Sequence[int], R: RootSystem) -> tuple[Fraction, ...]:
-    """Coefficients of ``alpha`` over the simple roots, solved exactly.
-
-    Raises ValueError if the vector is not in the span of the simple roots.
-    """
-    basis = R.simple_roots
-    s = len(basis)
-    # Gaussian elimination over Fractions on the N x (s+1) augmented system.
-    rows = [[Fraction(basis[c][r]) for c in range(s)] + [Fraction(alpha[r])]
-            for r in range(R.N)]
-    pivots: list[tuple[int, int]] = []
-    rank_row = 0
-    for col in range(s):
-        piv = next((r for r in range(rank_row, R.N) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank_row], rows[piv] = rows[piv], rows[rank_row]
-        prow = rows[rank_row]
-        inv = prow[col]
-        rows[rank_row] = [v / inv for v in prow]
-        for r in range(R.N):
-            if r != rank_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank_row])]
-        pivots.append((rank_row, col))
-        rank_row += 1
-    for r in range(rank_row, R.N):
-        if rows[r][s] != 0:
-            raise ValueError(f"{tuple(alpha)} is not in the span of the simple roots")
-    coeffs = [Fraction(0)] * s
-    for row, col in pivots:
-        coeffs[col] = rows[row][s]
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

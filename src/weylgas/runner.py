@@ -432,8 +432,8 @@ def _verify_drift(rng: np.random.Generator) -> dict:
         ("bessel_b", {"k1": 0.8, "k2": 0.6}, "B", 2, np.array([0.6, 1.5])),
     ]
     for preset, params, family, N, x in cases:
-        model = make_preset(preset, **params)
         R = build_root_system(family, N)
+        model = make_preset(preset, R, **params)
         for n in range(1, R.M + 1):
             def e_n(y):
                 return elementary_rows((y @ R.positive_matrix.T) ** 2, n)[..., n]

@@ -86,8 +86,6 @@ def test_acceptance_02_root_system_axioms():
     """Closure, reducedness, S1/S2, and the A-family count, exhaustively
     for every supported system of rank <= 5.
     """
-    from weylgas.roots import decompose_simple
-
     for family, N in RANK5_SYSTEMS:
         R = build_root_system(family, N)
         full = set(R.roots)
@@ -95,8 +93,10 @@ def test_acceptance_02_root_system_axioms():
             for z in R.roots:
                 assert tuple(reflect(y, z)) in full  # closure
             assert tuple(2 * v for v in y) not in full  # reduced
-        for alpha in R.positive_roots:  # S1
-            assert all(c >= 0 for c in decompose_simple(alpha, R))
+        # S1: float solve, rounded, checked exactly in integers
+        simple, positive = np.array(R.simple_roots).T, np.array(R.positive_roots).T
+        coeffs = np.rint(np.linalg.lstsq(simple, positive, rcond=None)[0]).astype(np.int64)
+        assert np.array_equal(simple @ coeffs, positive) and np.all(coeffs >= 0)
         for a, b in itertools.combinations(R.simple_roots, 2):  # S2
             assert sum(u * v for u, v in zip(a, b)) <= 0
         if family == "A":
@@ -114,8 +114,8 @@ def test_acceptance_03_dyson_dimension_curve(k):
     +/- 0.12 of 1/2 - k for three sub-critical couplings (N = 3, T = 5,
     dt_max = 1e-4, 500 paths per point).
     """
-    model = make_preset("dyson", k=k)
     R = build_root_system("A", 3)
+    model = make_preset("dyson", R, k=k)
     T, n_paths = 5.0, 500
     scales = [T / 2**j for j in range(3, 12)]
     col = EnsembleCollector(R, None, n_paths, T, eps_list=[1e-3],
@@ -140,8 +140,8 @@ def test_acceptance_04_no_collision_regimes(k):
     """At and above the critical coupling no trajectory out of 10^3
     approaches the chamber wall below eps = 1e-4 over T = 5.
     """
-    model = make_preset("dyson", k=k)
     R = build_root_system("A", 3)
+    model = make_preset("dyson", R, k=k)
     T, n_paths = 5.0, 1000
     col = EnsembleCollector(R, None, n_paths, T, eps_list=[1e-4],
                             dim_eps=1e-4, scales=[T / 8, T / 16])
@@ -161,8 +161,8 @@ def test_acceptance_05_collisions_are_simple():
     """Order->=2 event rates decrease with eps and are <= 1% at the finest
     threshold while order-1 events remain common (rate >= 50%).
     """
-    model = make_preset("dyson", k=0.1)
     R = build_root_system("A", 3)
+    model = make_preset("dyson", R, k=0.1)
     T, n_paths = 1.0, 200
     eps_grid = [1e-2, 1e-3, 1e-4]
     col = EnsembleCollector(R, None, n_paths, T, eps_list=eps_grid,
@@ -183,8 +183,8 @@ def test_acceptance_05_collisions_are_simple():
 
 
 def _bessel_b_ensemble(k1, k2, master_seed, n_paths=150):
-    model = make_preset("bessel_b", k1=k1, k2=k2)
     R = build_root_system("B", 2)
+    model = make_preset("bessel_b", R, k1=k1, k2=k2)
     T = 5.0
     scales = [T / 2**j for j in range(3, 12)]
     col = EnsembleCollector(R, None, n_paths, T, eps_list=[1e-3],
@@ -238,12 +238,12 @@ def test_acceptance_07_wishart_consistency():
     x0 = np.array([0.5, 1.0, 1.5])
 
     RB = build_root_system("B", N)
-    bessel = make_preset("bessel_b", k1=k1, k2=k2)
+    bessel = make_preset("bessel_b", RB, k1=k1, k2=k2)
     res_b = simulate_ensemble(bessel, RB, x0, T, pol, master_seed=700,
                               n_paths=n_paths)
 
     RA = build_root_system("A", N)
-    wishart = make_preset("wishart", kappa=kappa, a=a)
+    wishart = make_preset("wishart", RA, kappa=kappa, a=a)
     res_w = simulate_ensemble(wishart, RA, x0**2, T, pol, master_seed=701,
                               n_paths=n_paths)
 
@@ -319,8 +319,8 @@ def test_acceptance_09_drift_diagnostics(preset, params, family, N):
     finite differences within 3 standard errors at 5 random interior
     states; the dissipation component A5 is never positive.
     """
-    model = make_preset(preset, **params)
     R = build_root_system(family, N)
+    model = make_preset(preset, R, **params)
     states = chamber_grid(R, 5, scale=1.5, seed=90)
     assert len(states) == 5
     for si, x in enumerate(states):

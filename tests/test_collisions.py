@@ -282,14 +282,16 @@ def _check_collector_against_batch(model, R, x0, T, P, eps_list, dim_eps):
 
 
 def _check_a2():
+    R = build_root_system("A", 2)
     return _check_collector_against_batch(
-        make_preset("dyson", k=0.15), build_root_system("A", 2),
+        make_preset("dyson", R, k=0.15), R,
         np.array([-0.2, 0.2]), 1.0, 20, [0.05, 0.01], 0.05)
 
 
 def _check_a3():
+    R = build_root_system("A", 3)
     return _check_collector_against_batch(
-        make_preset("dyson", k=0.25), build_root_system("A", 3),
+        make_preset("dyson", R, k=0.25), R,
         np.array([-0.3, 0.0, 0.3]), 0.1, 10, [0.1, 0.03, 0.01], 0.03)
 
 
@@ -322,8 +324,8 @@ def test_collector_small_flushes_match_batch_detection(monkeypatch, check, chunk
 
 
 def test_collector_interval_nesting_and_argmin():
-    model = make_preset("bessel_b", k1=0.1, k2=0.6)
     R = build_root_system("B", 2)
+    model = make_preset("bessel_b", R, k1=0.1, k2=0.6)
     col = EnsembleCollector(R, None, n_paths=30, horizon=1.0,
                             eps_list=[0.05, 0.005], dim_eps=0.01,
                             scales=dyadic_scales(1.0, 5, 2))
@@ -356,8 +358,8 @@ def test_collector_argmin_nan_when_no_events():
 def test_collector_occupancy_without_events(eps_list):
     """With no eps, or dim_eps above every eps, no event is recorded but the
     occupancy bitmap is still written."""
-    model = make_preset("dyson", k=0.6)  # k >= 1/2: no collisions
     R = build_root_system("A", 2)
+    model = make_preset("dyson", R, k=0.6)  # k >= 1/2: no collisions
     scales = dyadic_scales(0.5, 4, 2)
     col = EnsembleCollector(R, None, n_paths=6, horizon=0.5,
                             eps_list=eps_list, dim_eps=0.05, scales=scales)
@@ -419,8 +421,8 @@ class _UpdateLog:
 
 def _logged_ensemble(P=10, T=0.05):
     """Updates an A3 ensemble feeds a collector, and a collector factory."""
-    model = make_preset("dyson", k=0.25)
     R = build_root_system("A", 3)
+    model = make_preset("dyson", R, k=0.25)
     log = _UpdateLog()
     simulate_ensemble(model, R, np.array([-0.1, 0.0, 0.1]), T,
                       StepPolicy(dt_max=1e-3), 5, n_paths=P, collector=log)

@@ -66,8 +66,43 @@ def test_preset_parameter_presence():
 
 
 def test_preset_family_compatibility():
-    with pytest.raises(ConfigError, match="family"):
+    with pytest.raises(ConfigError, match="preset 'dyson' requires root system family 'A'"):
         parse_config(minimal_doc(family="B"))
+
+
+def _bessel_general_b3(k_values):
+    doc = minimal_doc(family="B", preset="bessel_general", k_values=k_values)
+    del doc["k"]
+    return doc
+
+
+def test_bessel_general_value_count_checked(tmp_path):
+    """k_values hold one value or one per positive root (M = 9 on B3); any
+    other count is a config error, raised before a run directory is made."""
+    doc = _bessel_general_b3([0.3, 0.4])
+    with pytest.raises(ConfigError, match="one value or M = 9 values, not 2"):
+        parse_config(doc)
+    cfg, out = tmp_path / "c.json", tmp_path / "never"
+    cfg.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["simulate", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2 and "M = 9 values, not 2" in res.output, res.output
+    assert not out.exists()
+    parse_config(_bessel_general_b3([0.3]))
+
+
+def test_bessel_general_values_weyl_invariant():
+    """Roots of equal length form one Weyl orbit in A, B and D, so per-root
+    values must be equal on roots of equal length."""
+    short, long = [0.3] * 3, [0.45] * 6  # B3: e_i first, then e_j -/+ e_i
+    cfg = parse_config(_bessel_general_b3(short + long))
+    assert cfg.model().unit_constants().tolist() == short + long
+    for k_values in ([0.3, 0.3, 0.31] + long, short + [0.45] * 5 + [0.5]):
+        with pytest.raises(ConfigError, match="equal on roots of equal length"):
+            parse_config(_bessel_general_b3(k_values))
+    doc = minimal_doc(preset="bessel_general", k_values=[0.3, 0.3, 0.4])  # A3: one length
+    del doc["k"]
+    with pytest.raises(ConfigError, match="equal on roots of equal length"):
+        parse_config(doc)
 
 
 def test_d_family_minimum_rank():

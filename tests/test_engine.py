@@ -17,7 +17,8 @@ from weylgas.sympoly import elementary_rows
 
 @pytest.fixture
 def dyson2():
-    return make_preset("dyson", k=0.5), build_root_system("A", 2)
+    R = build_root_system("A", 2)
+    return make_preset("dyson", R, k=0.5), R
 
 
 def test_step_policy_validation():
@@ -123,7 +124,7 @@ def test_lanes_leaving_mid_run_replay_alone():
     routes (horizon, stuck, exploded); every row still matches its own
     record and equals, byte for byte, the same path integrated alone."""
     R = build_root_system("A", 2)
-    dyson = make_preset("dyson", k=0.05)
+    dyson = make_preset("dyson", R, k=0.05)
     proposals = []
 
     def sigma(y):  # called once per proposal batch
@@ -249,7 +250,8 @@ def test_ensemble_equals_masked_reference_loop(preset, params, family, N, x0, T,
     per-lane masked reference loop, which evaluates sigma, b and the
     coupling in every proposal (wishart takes that branch in both) and
     applies the dt_min floor in every iteration."""
-    model, R = make_preset(preset, **params), build_root_system(family, N)
+    R = build_root_system(family, N)
+    model = make_preset(preset, R, **params)
     cols = (_a3_collector(P, T), _a3_collector(P, T)) if family == "A" and N == 3 else (None, None)
     res = _assert_equals_reference(model, R, x0, T, policy, seed, P, cols)
     if policy.dt_min > StepPolicy.dt_min:
@@ -277,7 +279,8 @@ def test_chunk_boundaries_equal_reference_and_single_paths(monkeypatch):
     loop, which feeds one update per iteration, and a path longer than three
     chunks is its own ``simulate_trajectory``."""
     monkeypatch.setattr(engine, "_COLLECTOR_CHUNK_ROWS", _CHUNK_ROWS)
-    model, R = make_preset("dyson", k=0.25), build_root_system("A", 3)
+    R = build_root_system("A", 3)
+    model = make_preset("dyson", R, k=0.25)
     x0, T, policy, seed, P = [-0.1, 0.0, 0.1], 0.1, StepPolicy(dt_max=2e-4), 5, 8
     log = _a3_collector(P, T, _ChunkLog)
     res = _assert_equals_reference(model, R, x0, T, policy, seed, P,
@@ -299,7 +302,8 @@ def test_collector_chunk_spans_at_most_chunk_rows_iterations():
     """Pending rows go to the collector at ``_COLLECTOR_CHUNK_ROWS`` rows or
     after ``_CHUNK_ROWS`` iterations, whichever comes first: two lanes hand on
     chunks of 1,024 to 2,048 rows, well below the row limit."""
-    model, R = make_preset("dyson", k=0.25), build_root_system("A", 3)
+    R = build_root_system("A", 3)
+    model = make_preset("dyson", R, k=0.25)
     P, T = 2, 0.3
     log = _a3_collector(P, T, _ChunkLog)
     res = simulate_ensemble(model, R, np.array([-0.1, 0.0, 0.1]), T,
@@ -313,7 +317,8 @@ def test_recorded_path_memory_is_bounded():
     """A recorded path peaks at a few times its own bytes: the diagnostics
     B4 path (9,036 rows, 0.43 MB recorded) stays under 2.1 MB of numpy and
     Python allocations."""
-    model, R = make_preset("bessel_b", k1=0.3, k2=0.5), build_root_system("B", 4)
+    R = build_root_system("B", 4)
+    model = make_preset("bessel_b", R, k1=0.3, k2=0.5)
     tracemalloc.start()
     try:
         rec = simulate_trajectory(model, R, [0.2, 0.5, 0.9, 1.4], 0.25,
@@ -330,7 +335,7 @@ def test_propose_returns_row_minimum_of_projections():
     scalar is the smallest of those, and the mask marks the rows inside the
     chamber."""
     R = build_root_system("B", 2)
-    model = make_preset("bessel_b", k1=0.1, k2=0.6)
+    model = make_preset("bessel_b", R, k1=0.1, k2=0.6)
     rng = np.random.default_rng(4)
     xs = np.abs(rng.normal(size=(64, 2))).cumsum(axis=1) * 0.05 + 1e-3
     proj = xs @ R.positive_matrix.T
@@ -348,13 +353,13 @@ def test_propose_masks_nan_proposals():
     """A NaN proposal is outside: the all-inside test fails on it, and the
     mask is built, False on that row only."""
     R = build_root_system("A", 3)
-    model = make_preset("dyson", k=0.25)
+    model = make_preset("dyson", R, k=0.25)
     xs = np.array([[-0.5, 0.0, 0.5]] * 3)
     proj = xs @ R.positive_matrix.T
     noise = np.zeros((3, 3))
     noise[1, 0] = np.nan
     *_, ok = _propose(model, R, xs, proj, np.full(3, 1e-4), noise,
-                      model.unit_constants(R))
+                      model.unit_constants())
     assert ok is not None and ok.tolist() == [True, False, True]
     *_, ok = _propose(model, R, xs, proj, np.full(3, 1e-4), np.zeros((3, 3)))
     assert ok is None
@@ -392,14 +397,14 @@ def test_e_poly_drift_hand_values():
     # Dyson N=2, n=1, w = 1: d e_1 = (4k + 2) dt exactly
     R = build_root_system("A", 2)
     for k in (0.2, 0.5, 1.3):
-        m = make_preset("dyson", k=k)
+        m = make_preset("dyson", R, k=k)
         for x in ([-1.0, 1.0], [-0.3, 2.0]):
             assert e_poly_drift(x, m, R, None, 1) == pytest.approx(4 * k + 2)
 
 
 def test_e_poly_drift_interior_required():
     R = build_root_system("A", 2)
-    m = make_preset("dyson", k=0.5)
+    m = make_preset("dyson", R, k=0.5)
     with pytest.raises(ValueError):
         e_poly_drift([1.0, -1.0], m, R, None, 1)
     with pytest.raises(ValueError):
@@ -420,7 +425,7 @@ def test_e_poly_drift_bits_do_not_depend_on_table_layout(monkeypatch):
         R = build_root_system(family, N)
         x = np.sort(rng.uniform(0.1, 2.0, N)) + (0.3 * np.arange(N) if family == "A" else 0)
         if np.min(R.positive_matrix @ x) > 0:
-            states.append((x, make_preset(preset, **params), R,
+            states.append((x, make_preset(preset, R, **params), R,
                            int(rng.integers(1, R.M + 1))))
     c_order = [e_poly_drift(x, m, R, None, n) for x, m, R, n in states]
     rows = engine.exclusion_rows
@@ -433,7 +438,7 @@ def test_e_poly_drift_bits_do_not_depend_on_table_layout(monkeypatch):
 def test_log_drift_components_dyson_n2():
     """For A_1 there are no root pairs: A2 = A3 = A6 = 0 and A5 < 0."""
     R = build_root_system("A", 2)
-    m = make_preset("dyson", k=0.5)
+    m = make_preset("dyson", R, k=0.5)
     comps = log_e_drift_components([-1.0, 1.0], m, R, None, 1)
     assert comps[1] == comps[2] == comps[5] == 0.0
     assert comps[4] < 0
@@ -445,8 +450,8 @@ def test_log_drift_components_dyson_n2():
     ("bessel_b", {"k1": 0.6, "k2": 0.9}, "B", 2, [0.5, 1.3]),
 ])
 def test_drift_formulas_match_monte_carlo(preset, params, family, N, x):
-    model = make_preset(preset, **params)
     R = build_root_system(family, N)
+    model = make_preset(preset, R, **params)
     for n in range(1, R.M + 1):
         closed = e_poly_drift(x, model, R, None, n)
         mc, se = mc_drift_estimate(
@@ -466,8 +471,8 @@ def test_drift_formulas_match_monte_carlo(preset, params, family, N, x):
 
 
 def test_drift_with_norm_weights_matches_monte_carlo():
-    model = make_preset("bessel_b", k1=0.7, k2=0.5)
     R = build_root_system("B", 2)
+    model = make_preset("bessel_b", R, k1=0.7, k2=0.5)
     x = np.array([0.4, 1.1])
     star = R.positive_matrix / R.root_norms[:, None]
     closed = e_poly_drift(x, model, R, "norm", 2)
@@ -479,8 +484,8 @@ def test_drift_with_norm_weights_matches_monte_carlo():
 
 def test_batched_mc_drift_matches_per_sample_loop():
     """The batched oracle returns exactly what a per-sample loop gives."""
-    model = make_preset("dyson", k=0.4)
     R = build_root_system("A", 3)
+    model = make_preset("dyson", R, k=0.4)
     x = np.array([-0.9, 0.2, 1.3])
     h, n_samples, seed = 1e-6, 500, 7
     pm = R.positive_matrix

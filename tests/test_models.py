@@ -8,20 +8,25 @@ from weylgas.config import _schema
 from weylgas.models import (PRESETS, CoefficientModel, ConstantCoupling, chamber_grid,
                             compute_bound_constants, dimension_bound_predictor,
                             make_preset, wishart_param_map)
-from weylgas.roots import build_root_system
+from weylgas.roots import FAMILIES, build_root_system
+
+# parameters each preset accepts, on the root systems of rank 3 of its family
+VALID = {"dyson": {"k": 0.3}, "bessel_general": {"k_values": 0.7},
+         "bessel_b": {"k1": 0.8, "k2": 0.3}, "wishart": {"kappa": 0.5, "a": 7.0},
+         "jacobi": {"k": 0.5, "p": 8.0, "q": 9.0}}
 
 
 def test_dyson_preset():
-    m = make_preset("dyson", k=0.3)
     R = build_root_system("A", 3)
+    m = make_preset("dyson", R, k=0.3)
     x = np.array([-1.0, 0.0, 1.0])
     assert np.allclose(m.sigma(x), 1.0)
     assert np.allclose(m.drift_b(x), 0.0)
     assert np.allclose(m.coupling_values(x, R), 0.3)
     with pytest.raises(ValueError):
-        make_preset("dyson", k=0.0)
+        make_preset("dyson", R, k=0.0)
     with pytest.raises(ValueError):
-        make_preset("nope", k=1.0)
+        make_preset("nope", R, k=1.0)
 
 
 @pytest.mark.parametrize("name, params", [
@@ -32,7 +37,7 @@ def test_dyson_preset():
 def test_constant_sigma_and_drift_keep_shape_and_dtype(name, params):
     """Unit diffusion and zero drift match ones_like/zeros_like of the float
     input for scalar, (N,), (n, N) and integer-list inputs."""
-    m = make_preset(name, **params)
+    m = make_preset(name, build_root_system(PRESETS[name][0] or "A", 3), **params)
     for y in (0.4, np.array([-1.0, 0.0, 1.0]), np.ones((5, 3)), [[1, 2], [3, 4]]):
         ref = np.asarray(y, dtype=float)
         for got, want in ((m.sigma(y), np.ones_like(ref)), (m.drift_b(y), np.zeros_like(ref))):
@@ -41,14 +46,14 @@ def test_constant_sigma_and_drift_keep_shape_and_dtype(name, params):
 
 
 def test_bessel_b_per_root_values():
-    m = make_preset("bessel_b", k1=0.8, k2=0.3)
     R = build_root_system("B", 3)
+    m = make_preset("bessel_b", R, k1=0.8, k2=0.3)
     k = m.coupling_values(np.ones(3), R)
     lengths = (R.positive_matrix != 0).sum(axis=1)
     assert np.allclose(k[lengths == 1], 0.8)
     assert np.allclose(k[lengths == 2], 0.3)
     with pytest.raises(ValueError):
-        m.coupling_values(np.ones(3), build_root_system("A", 3))
+        make_preset("bessel_b", build_root_system("A", 3), k1=0.8, k2=0.3)
 
 
 @pytest.mark.parametrize("name, params, family, short, long", [
@@ -58,10 +63,10 @@ def test_bessel_b_per_root_values():
 ])
 def test_constant_coupling_values_across_root_systems(name, params, family, short, long):
     """Constant couplings come back as fresh (..., M) arrays with the right
-    values while calls alternate between root systems."""
-    m = make_preset(name, **params)
-    systems = [build_root_system(family, 2), build_root_system(family, 3)]
-    for R in systems + systems:
+    values on each root system they are built for."""
+    for N in (2, 3):
+        R = build_root_system(family, N)
+        m = make_preset(name, R, **params)
         lengths = (R.positive_matrix != 0).sum(axis=1)  # 1 for short roots
         want = np.where(lengths == 1, short, long).astype(float)
         for x in (np.ones(R.N), np.ones((4, 2, R.N))):
@@ -73,55 +78,62 @@ def test_constant_coupling_values_across_root_systems(name, params, family, shor
 
 
 def test_bessel_b_coupling_raises_on_every_wrong_family_call():
-    m = make_preset("bessel_b", k1=0.8, k2=0.3)
+    """The family rule holds at every build, not only the first."""
     B3, A3 = build_root_system("B", 3), build_root_system("A", 3)
     for _ in range(2):
+        m = make_preset("bessel_b", B3, k1=0.8, k2=0.3)
         assert m.coupling_values(np.ones(3), B3).shape == (B3.M,)
         with pytest.raises(ValueError):
-            m.coupling_values(np.ones(3), A3)
+            make_preset("bessel_b", A3, k1=0.8, k2=0.3)
+
+
+@pytest.mark.parametrize("name, family", [
+    (name, family) for name, (want, _) in PRESETS.items()
+    for family in FAMILIES if want not in (None, family)])
+def test_presets_raise_on_every_wrong_family(name, family):
+    """make_preset is where a preset meets its root system: on another
+    family it raises, naming the family it runs on."""
+    want, param_names = PRESETS[name]
+    assert tuple(VALID[name]) == param_names
+    make_preset(name, build_root_system(want, 3), **VALID[name])
+    with pytest.raises(ValueError, match=f"requires root system family '{want}'"):
+        make_preset(name, build_root_system(family, 3), **VALID[name])
 
 
 @pytest.mark.parametrize("name, params, family", [
     ("dyson", {"k": 0.3}, "A"),
-    ("bessel_general", {"k_values": [0.7, 0.2, 0.4]}, "A"),
+    ("bessel_general", {"k_values": [0.7, 0.7, 0.7]}, "A"),
     ("bessel_b", {"k1": 0.8, "k2": 0.3}, "B"),
 ])
 def test_constant_coupling_values_contract(name, params, family):
-    """values(R) is one row of a call, cached and read-only; a call still
-    returns a fresh writable array; unit_constants(R) hands the engine the
-    same values, and the x-dependent presets get None."""
-    m = make_preset(name, **params)
-    assert isinstance(m.coupling, ConstantCoupling)
+    """values is one row of a call and read-only; each call returns a fresh
+    writable array; unit_constants() is values, and the x-dependent presets
+    get None."""
     R = build_root_system(family, 3)
-    vals = m.coupling.values(R)
+    m = make_preset(name, R, **params)
+    assert isinstance(m.coupling, ConstantCoupling)
+    vals = m.coupling.values
     assert vals.shape == (R.M,) and vals.dtype == np.float64
     assert not vals.flags.writeable
-    assert m.coupling.values(R) is vals and m.unit_constants(R) is vals
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+    assert m.unit_constants() is vals
     for x in (np.ones(3), np.ones((5, 3))):
         k = m.coupling_values(x, R)
         assert k.flags.writeable and not np.shares_memory(k, vals)
         assert all(row.tobytes() == vals.tobytes() for row in k.reshape(-1, R.M))
-    for other in (make_preset("wishart", kappa=1.0, a=4.0),
-                  make_preset("jacobi", k=1.0, p=5.0, q=5.0, N=3),
+        assert not np.shares_memory(m.coupling_values(x, R), k)
+    A3 = build_root_system("A", 3)
+    for other in (make_preset("wishart", A3, kappa=1.0, a=4.0),
+                  make_preset("jacobi", A3, k=1.0, p=5.0, q=5.0),
                   CoefficientModel(sigma=lambda y: m.sigma(y), drift_b=m.drift_b,
                                    coupling=m.coupling)):
-        assert other.unit_constants(build_root_system("A", 3)) is None
-
-
-def test_bessel_b_values_raise_on_every_wrong_family_call():
-    m = make_preset("bessel_b", k1=0.8, k2=0.3)
-    B3, A3 = build_root_system("B", 3), build_root_system("A", 3)
-    for _ in range(2):
-        assert m.coupling.values(B3).shape == (B3.M,)
-        with pytest.raises(ValueError):
-            m.coupling.values(A3)
-        with pytest.raises(ValueError):
-            m.unit_constants(A3)
+        assert other.unit_constants() is None
 
 
 def test_wishart_coupling_is_sum_of_pairs():
-    m = make_preset("wishart", kappa=1.0, a=4.0)
     R = build_root_system("A", 3)
+    m = make_preset("wishart", R, kappa=1.0, a=4.0)
     y = np.array([1.0, 2.0, 5.0])
     k = m.coupling_values(y, R)
     # roots ordered e2-e1, e3-e1, e3-e2
@@ -130,37 +142,35 @@ def test_wishart_coupling_is_sum_of_pairs():
     assert np.allclose(m.drift_b(y), 4.0)
 
 
-@pytest.mark.parametrize("preset, params", [
-    ("wishart", {"kappa": 0.5, "a": 7.0}),
-    ("jacobi", {"k": 0.5, "p": 8.0, "q": 9.0, "N": 3}),
-])
-def test_pair_couplings_find_their_pairs_once_per_root_system(monkeypatch, preset, params):
-    """The wishart and jacobi couplings find the (i, j) of their roots once
-    per root system, not at every evaluation (each lock-step iteration)."""
+@pytest.mark.parametrize("preset", ["wishart", "jacobi"])
+def test_pair_couplings_find_their_pairs_at_make_preset(monkeypatch, preset):
+    """The wishart and jacobi couplings find the (i, j) of their roots once,
+    when the model is built, not at every evaluation (each lock-step
+    iteration)."""
     calls = []
     find = models._pair_indices
     monkeypatch.setattr(models, "_pair_indices", lambda R: calls.append(R) or find(R))
-    m = make_preset(preset, **params)
     R = build_root_system("A", 3)
+    m = make_preset(preset, R, **VALID[preset])
+    assert calls == [R]
     x = np.array([[0.1, 0.3, 0.6], [-0.2, 0.0, 0.4]])
     first = m.coupling_values(x, R)
+    assert first.shape == (2, R.M)
     for _ in range(3):
         assert np.array_equal(m.coupling_values(x, R), first)
     assert calls == [R]
-    R4 = build_root_system("A", 4)
-    assert m.coupling_values(np.array([0.1, 0.2, 0.3, 0.4]), R4).shape == (R4.M,)
-    assert calls == [R, R4]
-    with pytest.raises(ValueError, match="runs on an A root system"):
-        m.coupling_values(x, build_root_system("B", 3))
 
 
 def test_jacobi_wall_condition():
-    # N = 3, k = 0.5 needs min(p, q) >= 2 + 4 = 6
-    m = make_preset("jacobi", k=0.5, p=6.5, q=6.0, N=3)
+    # N = 3, k = 0.5 needs min(p, q) >= 2 + 4 = 6; N is the root system's
+    A3 = build_root_system("A", 3)
+    m = make_preset("jacobi", A3, k=0.5, p=6.5, q=6.0)
     x = np.array([-0.5, 0.0, 0.5])
     assert np.allclose(m.sigma(x), np.sqrt(1.0 - x**2))
     with pytest.raises(ValueError, match="min\\(p, q\\)"):
-        make_preset("jacobi", k=0.5, p=5.0, q=6.0, N=3)
+        make_preset("jacobi", A3, k=0.5, p=5.0, q=6.0)
+    with pytest.raises(ValueError, match="= 7 "):  # N = 4 needs 3 + 4 = 7
+        make_preset("jacobi", build_root_system("A", 4), k=0.5, p=6.5, q=6.0)
 
 
 def test_wishart_param_map_roundtrip():
@@ -188,21 +198,21 @@ def test_chamber_grid_interior():
 
 def test_predictor_closed_forms():
     RA = build_root_system("A", 3)
-    b = dimension_bound_predictor(make_preset("dyson", k=0.25), RA)
+    b = dimension_bound_predictor(make_preset("dyson", RA, k=0.25), RA)
     assert b.lower == b.upper == pytest.approx(0.25)
     assert b.closed_form
-    b = dimension_bound_predictor(make_preset("dyson", k=0.75), RA)
+    b = dimension_bound_predictor(make_preset("dyson", RA, k=0.75), RA)
     assert b.upper == 0.0
 
     RB = build_root_system("B", 2)
-    b = dimension_bound_predictor(make_preset("bessel_b", k1=0.1, k2=0.6), RB)
+    b = dimension_bound_predictor(make_preset("bessel_b", RB, k1=0.1, k2=0.6), RB)
     assert b.upper == pytest.approx(0.4)
 
-    b = dimension_bound_predictor(make_preset("wishart", kappa=0.5, a=7.0), RA)
+    b = dimension_bound_predictor(make_preset("wishart", RA, kappa=0.5, a=7.0), RA)
     assert b.upper == pytest.approx(0.25)
     assert "a >= 2/kappa" in b.note
 
-    b = dimension_bound_predictor(make_preset("jacobi", k=0.4, p=8, q=8, N=3), RA)
+    b = dimension_bound_predictor(make_preset("jacobi", RA, k=0.4, p=8, q=8), RA)
     assert b.upper == pytest.approx(0.1)
     assert b.lower is None
     assert b.constants is None  # closed forms build no grid
@@ -211,12 +221,14 @@ def test_predictor_closed_forms():
 @pytest.mark.parametrize("preset,params,family", [
     ("bessel_b", {"k1": 0.1, "k2": 0.6}, "A"),
     ("wishart", {"kappa": 0.5, "a": 7.0}, "B"),
-    ("jacobi", {"k": 0.4, "p": 8, "q": 8, "N": 3}, "D"),
+    ("jacobi", {"k": 0.4, "p": 8, "q": 8}, "D"),
 ])
 def test_predictor_rejects_preset_on_wrong_family(preset, params, family):
+    """No model of a preset exists on a wrong family for the predictor to
+    see: make_preset raises first."""
     R = build_root_system(family, 3)
     with pytest.raises(ValueError, match="root system"):
-        dimension_bound_predictor(make_preset(preset, **params), R)
+        dimension_bound_predictor(make_preset(preset, R, **params), R)
 
 
 def test_predictor_grid_path_matches_dyson():
@@ -241,12 +253,13 @@ def test_predictor_grid_path_matches_dyson():
 def test_presets_are_the_schema_enum():
     assert list(PRESETS) == _schema()["properties"]["preset"]["enum"]
     with pytest.raises(ValueError, match="unknown preset"):
-        make_preset("custom", sigma=None, drift_b=None, coupling=None)
+        make_preset("custom", build_root_system("A", 3), sigma=None, drift_b=None,
+                    coupling=None)
 
 
 def test_bound_constants_dyson_ratio():
     R = build_root_system("A", 2)
-    m = make_preset("dyson", k=0.4)
+    m = make_preset("dyson", R, k=0.4)
     c = compute_bound_constants(m, R, chamber_grid(R, 200, seed=8))
     # |alpha|^2 k / (sum alpha_i^2 sigma^2) = 2k/2 = k for every point
     beta = R.simple_roots[0]

@@ -18,7 +18,7 @@ import types
 
 import weylgas
 
-LIMIT = 39
+LIMIT = 35
 
 MODULES = [importlib.import_module(f"weylgas.{info.name}")
            for info in pkgutil.iter_modules(weylgas.__path__)]
