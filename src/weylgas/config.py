@@ -8,7 +8,8 @@ the sweep parameters are checked against ``models.PRESETS``.  The rules of
 the root system and of the preset on it (D needs N >= 3, the preset's
 family, the Jacobi wall condition, the ``bessel_general`` value count) are
 reported as ``build_root_system`` and ``make_preset`` raise them, with the
-x0 and weight checks, once the schema holds.
+x0 and weight checks, once the schema holds; each of these checks runs on
+its own, beside the rules on keys, so one fault hides no other.
 
 The schema is read by ``_schema_errors``, a small draft-07 interpreter of
 the keywords the schema uses (``_KEYWORDS``), so validation needs no
@@ -192,6 +193,9 @@ class RunConfig:
 
 
 def _collect_violations(doc: dict) -> list[str]:
+    """Every violation of ``doc``.  Once the schema holds, the cross-key
+    rules run, then the checks on the objects the document builds, each in
+    its own ``try``, so that no fault hides another."""
     violations = _schema_errors(_schema(), doc)
     try:  # Python's json reads NaN and Infinity, and the number type admits them
         json.dumps(doc, allow_nan=False, default=float)
@@ -203,12 +207,13 @@ def _collect_violations(doc: dict) -> list[str]:
     preset = doc["preset"]
     N = doc["N"]
     allowed = PRESETS[preset][1]
-    for p in allowed:
-        if p not in doc:
-            violations.append(f"preset {preset!r} requires parameter {p!r}")
+    missing = [p for p in allowed if p not in doc]
+    violations += [f"preset {preset!r} requires parameter {p!r}" for p in missing]
     x0 = doc.get("x0", _X0_DEFAULT)
+    x0_ok = True
     if x0["mode"] in ("explicit", "boundary"):
         vals = x0.get("values")
+        x0_ok = vals is not None and len(vals) == N
         if vals is None:
             violations.append(f"x0 mode {x0['mode']!r} requires 'values'")
         elif len(vals) != N:
@@ -224,30 +229,44 @@ def _collect_violations(doc: dict) -> list[str]:
     policy = doc.get("policy", {})
     if policy.get("dt_min", StepPolicy.dt_min) > policy.get("dt_max", StepPolicy.dt_max):
         violations.append("policy.dt_min must not exceed policy.dt_max")
+
+    # checks on the objects the document builds; they read no policy
+    cfg = _build(dict(doc, policy={}))
+    try:
+        R = cfg.root_system()
+    except ValueError as exc:
+        return violations + [str(exc)]
+    if x0_ok:
+        x0_arr = cfg.x0_array(R)
+        if (cfg.x0_mode in ("explicit", "boundary")
+                and chamber_classify(x0_arr, R, tol=0.0).region == "outside"):
+            violations.append(f"{cfg.x0_mode} x0 lies outside the closed Weyl chamber")
+        if cfg.preset == "jacobi" and np.any(np.abs(x0_arr) >= 1.0):
+            violations.append("jacobi x0 coordinates must lie in (-1, 1)")
+    checks = [lambda: resolve_weights(R, cfg.weights)]
+    if not missing:
+        checks.append(cfg.model)
+    for check in checks:
+        try:
+            check()
+        except (ValueError, KeyError) as exc:
+            violations.append(str(exc))
     return violations
 
 
-def parse_config(doc: dict) -> RunConfig:
-    """Validate a config document and build a RunConfig.
-
-    Raises ConfigError listing every violation, not just the first.
-    """
-    violations = _collect_violations(doc)
-    if violations:
-        raise ConfigError(violations)
-
-    params = {p: doc[p] for p in PRESETS[doc["preset"]][1]}
+def _build(doc: dict) -> RunConfig:
+    """The RunConfig of a document that passes the schema; a preset
+    parameter the document lacks is left out of ``params``."""
     x0 = doc.get("x0", _X0_DEFAULT)
-    policy = StepPolicy(**doc.get("policy", {}))
-
-    cfg = RunConfig(
+    return RunConfig(
         raw=doc,
-        family=doc["family"], N=int(doc["N"]), preset=doc["preset"], params=params,
+        family=doc["family"], N=int(doc["N"]), preset=doc["preset"],
+        params={p: doc[p] for p in PRESETS[doc["preset"]][1] if p in doc},
         T=float(doc["T"]), ensemble=int(doc["ensemble"]), seed=int(doc["seed"]),
         x0_mode=x0["mode"],
         x0_values=tuple(x0["values"]) if "values" in x0 else None,
         x0_spacing=float(x0.get("spacing", 1.0)),
-        policy=policy,
+        policy=StepPolicy(**doc.get("policy", {})),
         eps_grid=tuple(sorted(doc.get("eps_grid", (1e-2, 1e-3, 1e-4)), reverse=True)),
         dim_eps=doc.get("dim_eps"),
         scales_spec=doc.get("scales"),
@@ -259,24 +278,16 @@ def parse_config(doc: dict) -> RunConfig:
         sweep=doc.get("sweep"),
     )
 
-    # late checks needing constructed objects
-    late: list[str] = []
-    try:
-        R = cfg.root_system()
-        x0_arr = cfg.x0_array(R)
-        if cfg.x0_mode in ("explicit", "boundary"):
-            loc = chamber_classify(x0_arr, R, tol=0.0)
-            if loc.region == "outside":
-                late.append(f"{cfg.x0_mode} x0 lies outside the closed Weyl chamber")
-        if cfg.preset == "jacobi" and np.any(np.abs(x0_arr) >= 1.0):
-            late.append("jacobi x0 coordinates must lie in (-1, 1)")
-        resolve_weights(R, cfg.weights)
-        cfg.model()
-    except (ValueError, KeyError) as exc:
-        late.append(str(exc))
-    if late:
-        raise ConfigError(late)
-    return cfg
+
+def parse_config(doc: dict) -> RunConfig:
+    """Validate a config document and build a RunConfig.
+
+    Raises ConfigError listing every violation, not just the first.
+    """
+    violations = _collect_violations(doc)
+    if violations:
+        raise ConfigError(violations)
+    return _build(doc)
 
 
 def load_config(path) -> RunConfig:

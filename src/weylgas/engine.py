@@ -23,7 +23,7 @@ from .rng import trajectory_generator
 from .roots import RootSystem, resolve_weights
 from .sympoly import exclusion_rows
 
-_NOISE_BLOCK = 2048
+_NOISE_BLOCK = 128  # rows of normals per path per refill
 _CHUNK_ROWS = 1024  # accepted rows per chunk when only recording
 _COLLECTOR_CHUNK_ROWS = 4096  # accepted rows per chunk fed to a collector
 _ENTRY_EPS = 1e-8  # pseudo-gap floor and first sub-step of the entry push
@@ -88,11 +88,13 @@ def _noise_blocks(P: int, N: int) -> np.ndarray:
     """A (P, _NOISE_BLOCK, N) float array in an anonymous memory map of its
     own, unmapped when the array is freed.
 
-    From the malloc heap, a block this size (4.9 MB at P = 100, N = 3) is
-    freed and requested again by every ensemble; once other allocations
-    have split the freed space, the heap grows by the block again, so the
-    peak RSS of a long run depends on allocation order (49.6 or 53.1 MB on
-    the same 100-path ensembles).
+    The block holds P * _NOISE_BLOCK * N * 8 bytes: 0.3 MB at P = 100 and
+    31 MB at P = 10**4, N = 3.  From the malloc heap, a block is freed and
+    requested again by every ensemble; once other allocations have split the
+    freed space, the heap grows by the block again, so the peak RSS of a
+    long run depends on allocation order (49.6 or 53.1 MB on the same
+    100-path ensembles, with blocks of 2,048 rows).  Each path reads its
+    own stream in order, so the block length changes no draw.
     """
     n = P * _NOISE_BLOCK * N
     buf = mmap.mmap(-1, max(8 * n, 1))  # a map cannot be empty
@@ -234,7 +236,7 @@ def simulate_ensemble(model: CoefficientModel, R: RootSystem,
         row = it % _NOISE_BLOCK
         if row == 0:
             for p in g:
-                blocks[p] = gens[p].standard_normal((_NOISE_BLOCK, N))
+                gens[p].standard_normal(out=blocks[p])
         noise = blocks[:g.size, row] if prefix else blocks[g, row]
 
         # clamps that cannot change dt are skipped: dt <= dt_max <= horizon - tl,

@@ -105,6 +105,33 @@ def test_bessel_general_values_weyl_invariant():
         parse_config(doc)
 
 
+def test_dt_ordering_and_family_both_named():
+    """The late checks run beside the rules on keys: a document with dt_min
+    above dt_max and a preset on the wrong family names both faults."""
+    doc = minimal_doc(family="B", policy={"dt_min": 1.0, "dt_max": 0.1})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.violations == [
+        "policy.dt_min must not exceed policy.dt_max",
+        "preset 'dyson' requires root system family 'A'"]
+
+
+def test_late_faults_all_named():
+    """Each late check runs in its own try: a wrong weight count does not
+    hide a wrong family or a wrong ``bessel_general`` value count."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(minimal_doc(family="B", weights=[1.0, 2.0]))
+    assert exc.value.violations == [
+        "weights must be one value or M = 9 values, not an array of shape (2,)",
+        "preset 'dyson' requires root system family 'A'"]
+    doc = dict(_bessel_general_b3([0.3, 0.4]), weights=[1.0, 2.0])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.violations == [
+        "weights must be one value or M = 9 values, not an array of shape (2,)",
+        "bessel_general k_values must be one value or M = 9 values, not 2"]
+
+
 def test_d_family_minimum_rank():
     doc = minimal_doc(family="D", N=2, preset="bessel_general",
                       k_values=[0.5, 0.5])

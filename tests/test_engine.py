@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,10 +227,13 @@ def _assert_equals_reference(model, R, x0, T, policy, seed, P, cols=(None, None)
     return res
 
 
+_B2_REJECT = ("bessel_b", {"k1": 0.5, "k2": 0.6}, "B", 2, [0.05, 0.15], 0.05,
+              StepPolicy(dt_max=1e-3), 11, 8)
+
+
 @pytest.mark.parametrize("preset,params,family,N,x0,T,policy,seed,P", [
     ("dyson", {"k": 0.25}, "A", 3, [-0.1, 0.0, 0.1], 0.05, StepPolicy(dt_max=1e-3), 5, 10),
-    ("bessel_b", {"k1": 0.5, "k2": 0.6}, "B", 2, [0.05, 0.15], 0.05,
-     StepPolicy(dt_max=1e-3), 11, 8),
+    _B2_REJECT,
     ("dyson", {"k": 0.05}, "A", 2, [-0.05, 0.05], 0.1,
      StepPolicy(dt_max=1e-3, max_rejects=2, explosion_radius=0.5), 1, 8),
     ("bessel_general", {"k_values": 0.3}, "A", 3, [-0.1, 0.0, 0.1], 0.05,
@@ -298,6 +305,25 @@ def test_chunk_boundaries_equal_reference_and_single_paths(monkeypatch):
         assert getattr(alone, f).tobytes() == getattr(res.records[p], f).tobytes(), f
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_noise_block_length_changes_no_draw(monkeypatch, rows):
+    """Each path reads its own stream in order, whatever the noise block
+    length.  With a block boundary at every iteration (1 row) or at one that
+    lines up with no chunk size (7 rows), while lanes leave and proposals
+    are rejected mid-block, the chunked collector run and the B2 run give,
+    byte for byte, the outputs of the reference loop, which draws one row
+    per lane and iteration."""
+    monkeypatch.setattr(engine, "_NOISE_BLOCK", rows)
+    test_chunk_boundaries_equal_reference_and_single_paths(monkeypatch)
+    preset, params, family, N, x0, T, policy, seed, P = _B2_REJECT
+    R = build_root_system(family, N)
+    res = _assert_equals_reference(make_preset(preset, R, **params), R, x0, T,
+                                   policy, seed, P)
+    proposals = res.accepted_steps + res.rejected_steps
+    assert res.rejected_steps.sum() > 0
+    assert rows == 1 or np.any(proposals % rows)  # a lane left mid-block
+
+
 def test_collector_chunk_spans_at_most_chunk_rows_iterations():
     """Pending rows go to the collector at ``_COLLECTOR_CHUNK_ROWS`` rows or
     after ``_CHUNK_ROWS`` iterations, whichever comes first: two lanes hand on
@@ -328,6 +354,41 @@ def test_recorded_path_memory_is_bounded():
         tracemalloc.stop()
     assert len(rec.times) == 9036
     assert peak <= 2.1e6, peak
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+def test_wide_ensemble_memory_is_bounded():
+    """A 20,000-path A3 ensemble of 20 steps grows the peak RSS of a fresh
+    interpreter, pinned to one BLAS and OpenMP thread, by less than 150 MB
+    over its RSS after a small warm-up ensemble (74 MB measured; 954 MB with
+    noise blocks of 2,048 rows).  tracemalloc cannot see the noise block,
+    which lives in a memory map of its own, so the child's ``ru_maxrss`` is
+    read instead."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                                   "VECLIB_MAXIMUM_THREADS")})
+    code = (
+        "import resource, numpy as np\n"
+        "from weylgas.engine import StepPolicy, simulate_ensemble\n"
+        "from weylgas.models import make_preset\n"
+        "from weylgas.roots import build_root_system\n"
+        "R = build_root_system('A', 3)\n"
+        "model = make_preset('dyson', R, k=0.25)\n"
+        "def run(P):\n"
+        "    return simulate_ensemble(model, R, np.array([-1.0, 0.0, 1.0]), 2e-3,\n"
+        "                             StepPolicy(dt_max=1e-4), 1, P)\n"
+        "run(100)\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "res = run(20000)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
+        "print(int(res.accepted_steps.min()), grown)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    steps, grown_kb = map(int, proc.stdout.split())
+    assert steps == 20
+    assert grown_kb < 150e3, grown_kb
 
 
 def test_propose_returns_row_minimum_of_projections():
