@@ -22,8 +22,7 @@ from .engine import (EnsembleResult, StepPolicy, TrajectoryRecord,
 from .models import (BoundConstants, CoefficientModel, DimensionBounds,
                      chamber_grid, compute_bound_constants,
                      dimension_bound_predictor, make_preset, wishart_param_map)
-from .roots import (ChamberLocation, RootSystem, build_root_system,
-                    chamber_classify, reflect, resolve_weights)
+from .roots import RootSystem, build_root_system, reflect, resolve_weights
 from .rng import derive_key, trajectory_generator
 from .runner import reanalyze_dimension, run_simulate, run_sweep, run_verify
 from .sympoly import (elementary, elementary_excluding, elementary_rows,

@@ -8,8 +8,10 @@ the sweep parameters are checked against ``models.PRESETS``.  The rules of
 the root system and of the preset on it (D needs N >= 3, the preset's
 family, the Jacobi wall condition, the ``bessel_general`` value count) are
 reported as ``build_root_system`` and ``make_preset`` raise them, with the
-x0 and weight checks, once the schema holds; each of these checks runs on
-its own, beside the rules on keys, so one fault hides no other.
+x0 checks (the closed chamber, and the preset's state interval in
+``models.PRESETS``) and the weight check, once the schema holds; each of
+these checks runs on its own, beside the rules on keys, so one fault hides
+no other.
 
 The schema is read by ``_schema_errors``, a small draft-07 interpreter of
 the keywords the schema uses (``_KEYWORDS``), so validation needs no
@@ -31,7 +33,7 @@ import numpy as np
 from .collisions import dyadic_scales
 from .engine import StepPolicy
 from .models import PRESETS, CoefficientModel, make_preset
-from .roots import RootSystem, build_root_system, chamber_classify, resolve_weights
+from .roots import RootSystem, build_root_system, resolve_weights
 
 SCHEMA_VERSION = 1
 
@@ -162,21 +164,27 @@ class RunConfig:
         return make_preset(self.preset, self.root_system(), **self.params)
 
     def x0_array(self, R: RootSystem) -> np.ndarray:
-        if self.x0_mode == "equispaced":
-            if self.family == "A":
-                x = self.x0_spacing * (np.arange(self.N) - (self.N - 1) / 2.0)
-            else:
-                x = self.x0_spacing * np.arange(1, self.N + 1, dtype=float)
-            if self.preset == "jacobi":
-                # squeeze into (-1, 1) keeping the ordering
-                x = x / (np.abs(x).max() + 1.0)
+        if self.x0_mode != "equispaced":
+            return np.asarray(self.x0_values, dtype=float)
+        if self.family == "A":
+            x = self.x0_spacing * (np.arange(self.N) - (self.N - 1) / 2.0)
+        else:
+            x = self.x0_spacing * np.arange(1, self.N + 1, dtype=float)
+        interval = PRESETS[self.preset][2]  # the open interval of the coordinates
+        if interval is None:
             return x
-        return np.asarray(self.x0_values, dtype=float)
+        # into the interval, keeping the order: squeezed about the centre of
+        # a bounded one (x / (max|x| + 1) on (-1, 1)), or moved to start one
+        # spacing above a lower bound
+        lo, hi = interval
+        if np.isfinite(hi):
+            return (lo + hi) / 2.0 + (hi - lo) / 2.0 * (x / (np.abs(x).max() + 1.0))
+        return x - x.min() + (lo + self.x0_spacing)
 
     def resolved_dim_eps(self) -> float:
-        # default calibrated against exact squared-Bessel zero sets: larger
-        # thresholds inflate the box-counting slope, much smaller ones are
-        # limited by the step resolution
+        # default 0.1 sqrt(dt_max), a rule of thumb that no check in the
+        # repository calibrates: larger thresholds inflate the box-counting
+        # slope, much smaller ones are limited by the step resolution
         if self.dim_eps is not None:
             return float(self.dim_eps)
         return float(0.1 * np.sqrt(self.policy.dt_max))
@@ -238,11 +246,12 @@ def _collect_violations(doc: dict) -> list[str]:
         return violations + [str(exc)]
     if x0_ok:
         x0_arr = cfg.x0_array(R)
-        if (cfg.x0_mode in ("explicit", "boundary")
-                and chamber_classify(x0_arr, R, tol=0.0).region == "outside"):
+        if np.min(R.positive_matrix @ x0_arr) < 0:
             violations.append(f"{cfg.x0_mode} x0 lies outside the closed Weyl chamber")
-        if cfg.preset == "jacobi" and np.any(np.abs(x0_arr) >= 1.0):
-            violations.append("jacobi x0 coordinates must lie in (-1, 1)")
+        interval = PRESETS[cfg.preset][2]
+        if interval is not None and not np.all((interval[0] < x0_arr) & (x0_arr < interval[1])):
+            violations.append(f"{cfg.preset} x0 coordinates must lie in "
+                              f"({interval[0]:g}, {interval[1]:g})")
     checks = [lambda: resolve_weights(R, cfg.weights)]
     if not missing:
         checks.append(cfg.model)

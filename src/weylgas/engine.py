@@ -126,7 +126,7 @@ def _propose(model: CoefficientModel, R: RootSystem, xs: np.ndarray,
         prop = xs + (
             model.sigma(xs) * np.sqrt(dtc) * noise
             + model.drift_b(xs) * dtc
-            + _repulsive_drift(proj, model.coupling_values(xs, R), pm) * dtc
+            + _repulsive_drift(proj, model.coupling(xs), pm) * dtc
         )
     prop_proj = prop @ pm.T
     # ufunc reductions: ndarray.min adds a Python-level wrapper to each call
@@ -152,7 +152,7 @@ def boundary_entry_push(x: Sequence[float], model: CoefficientModel,
     dt0 = _ENTRY_EPS
     for _ in range(_ENTRY_TRIES):
         proj = np.maximum(pm @ x, _ENTRY_EPS)
-        kvals = model.coupling_values(x, R)
+        kvals = model.coupling(x)
         cand = x + _repulsive_drift(proj, kvals, pm) * dt0
         if np.min(pm @ cand) > 0:
             return cand
@@ -383,7 +383,7 @@ def _drift_tables(x, model: CoefficientModel, R: RootSystem, w, n: int):
     sig2 = model.sigma(x) ** 2
     pair = 2.0 * ((star[:, None] * star) @ sig2) * sproj[:, None] * sproj
     return (star, sproj, full, one, two, sig2, model.drift_b(x),
-            model.coupling_values(x, R), star @ star.T, pair)
+            model.coupling(x), star @ star.T, pair)
 
 
 def e_poly_drift(x: Sequence[float], model: CoefficientModel, R: RootSystem,
@@ -451,7 +451,7 @@ def mc_drift_estimate(x: Sequence[float], model: CoefficientModel,
         raise ValueError("drift estimate requires an interior state")
     rng = np.random.default_rng(seed)
     proj = pm @ x
-    kvals = model.coupling_values(x, R)
+    kvals = model.coupling(x)
     det = (model.drift_b(x) + _repulsive_drift(proj, kvals, pm)) * h
     scale = model.sigma(x) * np.sqrt(h)
     f0 = func(x)

@@ -12,14 +12,22 @@ import numpy as np
 
 from .roots import RootSystem
 
-# preset name -> (the family it runs on, None for any; its parameter names)
+# preset name -> (the family it runs on, None for any; its parameter names;
+# the open interval its coordinates live in, None for the whole line)
 PRESETS = {
-    "dyson": ("A", ("k",)),
-    "bessel_general": (None, ("k_values",)),
-    "bessel_b": ("B", ("k1", "k2")),
-    "wishart": ("A", ("kappa", "a")),
-    "jacobi": ("A", ("k", "p", "q")),
+    "dyson": ("A", ("k",), None),
+    "bessel_general": (None, ("k_values",), None),
+    "bessel_b": ("B", ("k1", "k2"), None),
+    "wishart": ("A", ("kappa", "a"), (0.0, np.inf)),
+    "jacobi": ("A", ("k", "p", "q"), (-1.0, 1.0)),
 }
+
+# (preset, its parameters, family, N, interior state) at which run_verify
+# checks the closed-form drifts against Monte Carlo
+VERIFY_DRIFT_CASES = (
+    ("dyson", {"k": 0.6}, "A", 2, (-0.7, 0.7)),
+    ("bessel_b", {"k1": 0.8, "k2": 0.6}, "B", 2, (0.6, 1.5)),
+)
 
 
 @dataclass(frozen=True)
@@ -28,26 +36,24 @@ class CoefficientModel:
     system.
 
     ``sigma`` and ``drift_b`` act elementwise on coordinate arrays;
-    ``coupling(x, R)`` maps states of shape (..., N) to per-positive-root
-    values of shape (..., M), for the root system ``R`` the model was built
-    for.  Evaluators must be pure; instances are immutable and safe to share
-    across workers.
+    ``coupling(x)`` maps float states of shape (..., N) to per-positive-root
+    values of shape (..., M), in the order of the root system the model was
+    built for.  Evaluators must be pure; instances are immutable and safe to
+    share across workers.
 
-    ``bounds`` is the closed-form collision-dimension prediction, which
-    ``dimension_bound_predictor`` returns as it is; None makes the predictor
-    sample the coupling-to-diffusion ratio on a grid.  ``monotone`` declares
-    that drift and coupling are both monotone (assumptions A2 and A3): the
-    grid path then trusts its lower bound to hold almost surely.
+    ``bounds`` is the closed-form collision-dimension prediction of a model
+    whose ``unit_constants()`` is None, which ``dimension_bound_predictor``
+    returns as it is; None makes the predictor sample the
+    coupling-to-diffusion ratio on a grid.  ``monotone`` declares that drift
+    and coupling are both monotone (assumptions A2 and A3): the grid path
+    then trusts its lower bound to hold almost surely.
     """
 
     sigma: Callable[[np.ndarray], np.ndarray]
     drift_b: Callable[[np.ndarray], np.ndarray]
-    coupling: Callable[[np.ndarray, RootSystem], np.ndarray]
+    coupling: Callable[[np.ndarray], np.ndarray]
     bounds: Optional[DimensionBounds] = None
     monotone: bool = False
-
-    def coupling_values(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
-        return self.coupling(np.asarray(x, dtype=float), R)
 
     def unit_constants(self) -> Optional[np.ndarray]:
         """The ``ConstantCoupling`` values if sigma = 1 and b = 0; else None."""
@@ -73,7 +79,7 @@ class ConstantCoupling:
         self.values = np.array(values, dtype=float)
         self.values.flags.writeable = False
 
-    def __call__(self, x: np.ndarray, R: RootSystem) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(np.shape(x)[:-1] + self.values.shape)
         out[...] = self.values
         return out
@@ -103,12 +109,12 @@ def make_preset(name: str, R: RootSystem, **params) -> CoefficientModel:
     jacobi:         sigma(x)=sqrt(1-x^2), b(x)=k[p-q-(p+q)x]/2,
                     k_ij(x)=k(1-x_i*x_j) on an A system in (-1, 1)
 
-    ``PRESETS`` names each preset's family and parameters; a preset on
-    another family, a parameter out of range and the jacobi wall condition
-    raise ValueError.  All but bessel_general carry closed-form dimension
-    ``bounds``: dyson 1/2 - k; bessel_b 1/2 - min(k1, k2); wishart
-    (1 - kappa)/2; jacobi an upper bound 1/2 - k and no non-trivial lower
-    bound.
+    ``PRESETS`` names each preset's family, parameters and state interval;
+    a preset on another family, a parameter out of range and the jacobi wall
+    condition raise ValueError.  The predictor gives the first three the
+    exact dimension 1/2 - min k; wishart carries its closed-form ``bounds``
+    (1 - kappa)/2, and jacobi an upper bound 1/2 - k and no non-trivial
+    lower bound.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {tuple(PRESETS)}")
@@ -123,7 +129,6 @@ def make_preset(name: str, R: RootSystem, **params) -> CoefficientModel:
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
             coupling=ConstantCoupling(np.full(R.M, k)),
-            bounds=_exact(0.5 - k),
         )
 
     if name == "bessel_general":
@@ -151,7 +156,6 @@ def make_preset(name: str, R: RootSystem, **params) -> CoefficientModel:
         return CoefficientModel(
             sigma=_ones, drift_b=_zeros,
             coupling=ConstantCoupling(np.where(lengths == 1, k1, k2)),
-            bounds=_exact(0.5 - min(k1, k2)),
         )
 
     ii, jj = _pair_indices(R)  # wishart and jacobi: k_alpha = f(x_i, x_j)
@@ -163,7 +167,7 @@ def make_preset(name: str, R: RootSystem, **params) -> CoefficientModel:
         return CoefficientModel(
             sigma=lambda y: 2.0 * np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0)),
             drift_b=lambda y: np.full_like(np.asarray(y, dtype=float), kappa * a),
-            coupling=lambda x, R: kappa * (x[..., ii] + x[..., jj]),
+            coupling=lambda x: kappa * (x[..., ii] + x[..., jj]),
             bounds=_exact(0.5 * (1.0 - kappa),
                           "valid when particles do not hit zero: a >= 2/kappa + N - 1"),
         )
@@ -181,7 +185,7 @@ def make_preset(name: str, R: RootSystem, **params) -> CoefficientModel:
     return CoefficientModel(
         sigma=lambda y: np.sqrt(np.maximum(1.0 - np.asarray(y, dtype=float) ** 2, 0.0)),
         drift_b=lambda y: 0.5 * k * (p - q - (p + q) * np.asarray(y, dtype=float)),
-        coupling=lambda x, R: k * (1.0 - x[..., ii] * x[..., jj]),
+        coupling=lambda x: k * (1.0 - x[..., ii] * x[..., jj]),
         bounds=DimensionBounds(
             None, max(0.0, 0.5 - k), None, True,
             "no non-trivial lower bound: the coupling-to-diffusion ratio "
@@ -247,7 +251,7 @@ def compute_bound_constants(model: CoefficientModel, R: RootSystem,
     grid = np.asarray(grid, dtype=float)
     pm = R.positive_matrix
     sig2 = model.sigma(grid) ** 2  # (n, N)
-    kvals = model.coupling_values(grid, R)  # (n, M)
+    kvals = model.coupling(grid)  # (n, M)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (pm**2).sum(axis=1) * kvals / (sig2 @ (pm.T**2))
         # one root at a time: (n, N) temporaries, never (n, M, N)
@@ -272,13 +276,18 @@ def dimension_bound_predictor(model: CoefficientModel, R: RootSystem,
                               grid: Optional[np.ndarray] = None) -> DimensionBounds:
     """Predicted bounds on the collision-time Hausdorff dimension.
 
-    A model with closed-form ``bounds`` (the dyson, bessel_b, wishart and
-    jacobi presets) gets them back without any grid: ``grid`` is ignored and
+    A model with sigma = 1, b = 0 and constant couplings k (its
+    ``unit_constants()``) has the exact dimension max(0, 1/2 - min k); a
+    model with closed-form ``bounds`` (the wishart and jacobi presets) gets
+    them back.  Neither evaluates a grid: ``grid`` is ignored and
     ``constants`` is None.  Otherwise the bounds are computed from grid
     inf/sup of the ratio on ``grid`` (default: a 64^min(N,3)-point chamber
     grid), and ``constants`` holds them; a ratio that diverges on the grid
     is an error.
     """
+    k = model.unit_constants()
+    if k is not None:
+        return _exact(0.5 - float(k.min()))
     if model.bounds is not None:
         return model.bounds
 

@@ -156,34 +156,6 @@ def _find_simple_roots(positive: tuple[Root, ...]) -> tuple[Root, ...]:
     return tuple(simple)
 
 
-@dataclass(frozen=True)
-class ChamberLocation:
-    """Classification of a configuration relative to the closed chamber."""
-
-    region: str  # "interior" | "boundary" | "outside"
-    order: int  # number of vanishing projections (boundary only, else 0)
-    active_roots: tuple[Root, ...]  # roots with |<x,alpha>| <= tol
-
-
-def chamber_classify(x: Sequence[float], R: RootSystem, tol: float = 0.0) -> ChamberLocation:
-    """Locate ``x`` relative to the Weyl chamber of ``R`` at tolerance ``tol``.
-
-    Interior: all projections > tol.  Boundary of order m: exactly m
-    projections in [-tol, tol] and none below -tol.  Outside otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    proj = R.positive_matrix @ x
-    if np.any(proj < -tol):
-        return ChamberLocation("outside", 0, ())
-    active = np.flatnonzero(np.abs(proj) <= tol)
-    if active.size == 0:
-        return ChamberLocation("interior", 0, ())
-    return ChamberLocation(
-        "boundary", int(active.size),
-        tuple(R.positive_roots[i] for i in active),
-    )
-
-
 def resolve_weights(R: RootSystem, w) -> np.ndarray:
     """Normalize a weight spec to a positive (M,) array.
 

@@ -4,11 +4,13 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from test_models import VALID
 from test_runner import SMALL_DOC
 
 from weylgas.cli import main
 from weylgas.config import (_KEYWORDS, ConfigError, _schema, _schema_errors, load_config,
                             parse_config)
+from weylgas.models import PRESETS
 
 
 def minimal_doc(**overrides):
@@ -34,7 +36,7 @@ def test_minimal_config_parses():
     R = cfg.root_system()
     x0 = cfg.x0_array(R)
     assert np.allclose(x0, [-1.0, 0.0, 1.0])
-    assert cfg.model().coupling_values(x0, R)[0] == 0.5
+    assert cfg.model().coupling(x0)[0] == 0.5
 
 
 def test_missing_seed_rejected():
@@ -189,10 +191,46 @@ def test_jacobi_x0_must_be_inside_unit_interval():
         parse_config(minimal_doc(
             preset="jacobi", k=0.5, p=7.0, q=7.0,
             x0={"mode": "explicit", "values": [-0.5, 0.0, 1.5]}))
-    # equispaced jacobi squeezes into the interval automatically
-    cfg = parse_config(minimal_doc(preset="jacobi", k=0.5, p=7.0, q=7.0))
-    x0 = cfg.x0_array(cfg.root_system())
-    assert np.all(np.abs(x0) < 1.0)
+    # equispaced jacobi squeezes into the interval automatically, with the
+    # bits of x / (max|x| + 1)
+    for N in (2, 3, 4):
+        for spacing in (0.3, 1.0, 2.5):
+            cfg = parse_config(minimal_doc(preset="jacobi", N=N, k=0.5, p=8.0, q=8.0,
+                                           x0={"mode": "equispaced", "spacing": spacing}))
+            x = spacing * (np.arange(N) - (N - 1) / 2.0)
+            want = x / (np.abs(x).max() + 1.0)
+            assert cfg.x0_array(cfg.root_system()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values", [[-0.5, 1.0, 2.0], [0.0, 1.0, 2.0]])
+def test_wishart_x0_must_be_positive(values):
+    """Wishart coordinates live in (0, inf): an explicit start with a
+    coordinate at or below 0 is rejected, though inside the chamber."""
+    doc = minimal_doc(preset="wishart", kappa=0.5, a=7.0,
+                      x0={"mode": "explicit", "values": values})
+    del doc["k"]
+    with pytest.raises(ConfigError, match="\\(0, inf\\)") as exc:
+        parse_config(doc)
+    assert len(exc.value.violations) == 1
+    cfg = parse_config(dict(doc, x0={"mode": "explicit", "values": [0.5, 1.0, 2.0]}))
+    assert cfg.x0_array(cfg.root_system()).tolist() == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("preset, family, N", [
+    (preset, family, N) for preset, (want, _, _) in PRESETS.items()
+    for family in ("A", "B", "D") if want in (None, family)
+    for N in (2, 3, 4) if (family, N) != ("D", 2)])
+def test_default_start_lies_in_chamber_and_interval(preset, family, N):
+    """The default equispaced start parses, and lies inside the open
+    chamber and the preset's state interval."""
+    doc = {"family": family, "N": N, "preset": preset, "T": 1.0, "ensemble": 1,
+           "seed": 1, **VALID[preset]}
+    cfg = parse_config(doc)
+    R = cfg.root_system()
+    x0 = cfg.x0_array(R)
+    assert np.all(R.positive_matrix @ x0 > 0)
+    lo, hi = PRESETS[preset][2] or (-np.inf, np.inf)
+    assert np.all((lo < x0) & (x0 < hi)), x0
 
 
 def test_policy_and_derived_values():

@@ -10,8 +10,9 @@ from weylgas.models import (PRESETS, CoefficientModel, ConstantCoupling, chamber
                             make_preset, wishart_param_map)
 from weylgas.roots import FAMILIES, build_root_system
 
-# parameters each preset accepts, on the root systems of rank 3 of its family
-VALID = {"dyson": {"k": 0.3}, "bessel_general": {"k_values": 0.7},
+# parameters each preset accepts, on the root systems of rank 2 to 4 of its
+# family, as a config document holds them
+VALID = {"dyson": {"k": 0.3}, "bessel_general": {"k_values": [0.7]},
          "bessel_b": {"k1": 0.8, "k2": 0.3}, "wishart": {"kappa": 0.5, "a": 7.0},
          "jacobi": {"k": 0.5, "p": 8.0, "q": 9.0}}
 
@@ -22,7 +23,7 @@ def test_dyson_preset():
     x = np.array([-1.0, 0.0, 1.0])
     assert np.allclose(m.sigma(x), 1.0)
     assert np.allclose(m.drift_b(x), 0.0)
-    assert np.allclose(m.coupling_values(x, R), 0.3)
+    assert np.allclose(m.coupling(x), 0.3)
     with pytest.raises(ValueError):
         make_preset("dyson", R, k=0.0)
     with pytest.raises(ValueError):
@@ -48,7 +49,7 @@ def test_constant_sigma_and_drift_keep_shape_and_dtype(name, params):
 def test_bessel_b_per_root_values():
     R = build_root_system("B", 3)
     m = make_preset("bessel_b", R, k1=0.8, k2=0.3)
-    k = m.coupling_values(np.ones(3), R)
+    k = m.coupling(np.ones(3))
     lengths = (R.positive_matrix != 0).sum(axis=1)
     assert np.allclose(k[lengths == 1], 0.8)
     assert np.allclose(k[lengths == 2], 0.3)
@@ -70,11 +71,11 @@ def test_constant_coupling_values_across_root_systems(name, params, family, shor
         lengths = (R.positive_matrix != 0).sum(axis=1)  # 1 for short roots
         want = np.where(lengths == 1, short, long).astype(float)
         for x in (np.ones(R.N), np.ones((4, 2, R.N))):
-            k = m.coupling_values(x, R)
+            k = m.coupling(x)
             assert k.shape == x.shape[:-1] + (R.M,)
             assert np.array_equal(k, np.broadcast_to(want, k.shape))
             k[...] = -1.0  # the caller owns the array
-        assert np.array_equal(m.coupling_values(np.ones(R.N), R), want)
+        assert np.array_equal(m.coupling(np.ones(R.N)), want)
 
 
 def test_bessel_b_coupling_raises_on_every_wrong_family_call():
@@ -82,18 +83,18 @@ def test_bessel_b_coupling_raises_on_every_wrong_family_call():
     B3, A3 = build_root_system("B", 3), build_root_system("A", 3)
     for _ in range(2):
         m = make_preset("bessel_b", B3, k1=0.8, k2=0.3)
-        assert m.coupling_values(np.ones(3), B3).shape == (B3.M,)
+        assert m.coupling(np.ones(3)).shape == (B3.M,)
         with pytest.raises(ValueError):
             make_preset("bessel_b", A3, k1=0.8, k2=0.3)
 
 
 @pytest.mark.parametrize("name, family", [
-    (name, family) for name, (want, _) in PRESETS.items()
+    (name, family) for name, (want, _, _) in PRESETS.items()
     for family in FAMILIES if want not in (None, family)])
 def test_presets_raise_on_every_wrong_family(name, family):
     """make_preset is where a preset meets its root system: on another
     family it raises, naming the family it runs on."""
-    want, param_names = PRESETS[name]
+    want, param_names, _ = PRESETS[name]
     assert tuple(VALID[name]) == param_names
     make_preset(name, build_root_system(want, 3), **VALID[name])
     with pytest.raises(ValueError, match=f"requires root system family '{want}'"):
@@ -119,10 +120,10 @@ def test_constant_coupling_values_contract(name, params, family):
         vals[0] = 1.0
     assert m.unit_constants() is vals
     for x in (np.ones(3), np.ones((5, 3))):
-        k = m.coupling_values(x, R)
+        k = m.coupling(x)
         assert k.flags.writeable and not np.shares_memory(k, vals)
         assert all(row.tobytes() == vals.tobytes() for row in k.reshape(-1, R.M))
-        assert not np.shares_memory(m.coupling_values(x, R), k)
+        assert not np.shares_memory(m.coupling(x), k)
     A3 = build_root_system("A", 3)
     for other in (make_preset("wishart", A3, kappa=1.0, a=4.0),
                   make_preset("jacobi", A3, k=1.0, p=5.0, q=5.0),
@@ -135,7 +136,7 @@ def test_wishart_coupling_is_sum_of_pairs():
     R = build_root_system("A", 3)
     m = make_preset("wishart", R, kappa=1.0, a=4.0)
     y = np.array([1.0, 2.0, 5.0])
-    k = m.coupling_values(y, R)
+    k = m.coupling(y)
     # roots ordered e2-e1, e3-e1, e3-e2
     assert np.allclose(k, [3.0, 6.0, 7.0])
     assert np.allclose(m.sigma(y), 2.0 * np.sqrt(y))
@@ -154,10 +155,10 @@ def test_pair_couplings_find_their_pairs_at_make_preset(monkeypatch, preset):
     m = make_preset(preset, R, **VALID[preset])
     assert calls == [R]
     x = np.array([[0.1, 0.3, 0.6], [-0.2, 0.0, 0.4]])
-    first = m.coupling_values(x, R)
+    first = m.coupling(x)
     assert first.shape == (2, R.M)
     for _ in range(3):
-        assert np.array_equal(m.coupling_values(x, R), first)
+        assert np.array_equal(m.coupling(x), first)
     assert calls == [R]
 
 
@@ -218,6 +219,23 @@ def test_predictor_closed_forms():
     assert b.constants is None  # closed forms build no grid
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("k1, k2", [(0.1, 0.4), (0.4, 0.1), (0.3, 0.3), (0.2, 0.7)])
+def test_bessel_general_predictor_equals_its_twin(N, k1, k2):
+    """bessel_general with per-orbit values (k1 on the short roots, k2 on the
+    long) builds bessel_b's SDE, and gets exactly its DimensionBounds; with
+    one value on A, exactly dyson's.  No grid is sampled."""
+    RB = build_root_system("B", N)
+    short = (RB.positive_matrix != 0).sum(axis=1) == 1
+    general = make_preset("bessel_general", RB, k_values=np.where(short, k1, k2))
+    twin = make_preset("bessel_b", RB, k1=k1, k2=k2)
+    assert dimension_bound_predictor(general, RB) == dimension_bound_predictor(twin, RB)
+    RA = build_root_system("A", N)
+    got = dimension_bound_predictor(make_preset("bessel_general", RA, k_values=k1), RA)
+    assert got == dimension_bound_predictor(make_preset("dyson", RA, k=k1), RA)
+    assert got.closed_form and got.constants is None
+
+
 @pytest.mark.parametrize("preset,params,family", [
     ("bessel_b", {"k1": 0.1, "k2": 0.6}, "A"),
     ("wishart", {"kappa": 0.5, "a": 7.0}, "B"),
@@ -232,16 +250,18 @@ def test_predictor_rejects_preset_on_wrong_family(preset, params, family):
 
 
 def test_predictor_grid_path_matches_dyson():
-    """A user-built constant-coefficient model reproduces the Dyson closed form."""
+    """A user-built constant-coefficient model takes the grid path and
+    reproduces the Dyson closed form."""
+    R = build_root_system("A", 3)
     m = CoefficientModel(
         sigma=lambda y: np.ones_like(y),
         drift_b=lambda y: np.zeros_like(y),
-        coupling=lambda x, R: np.full(x.shape[:-1] + (R.M,), 0.3),
+        coupling=lambda x: np.full(x.shape[:-1] + (R.M,), 0.3),
         monotone=True,
     )
-    R = build_root_system("A", 3)
+    assert m.unit_constants() is None and m.bounds is None
     b = dimension_bound_predictor(m, R, grid=chamber_grid(R, 2000, seed=6))
-    assert not b.closed_form
+    assert not b.closed_form and b.constants is not None
     assert b.upper == pytest.approx(0.2, abs=1e-9)
     assert b.lower == pytest.approx(0.2, abs=1e-9)
     assert "almost surely" in b.note

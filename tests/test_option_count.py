@@ -18,7 +18,7 @@ import types
 
 import weylgas
 
-LIMIT = 35
+LIMIT = 33
 
 MODULES = [importlib.import_module(f"weylgas.{info.name}")
            for info in pkgutil.iter_modules(weylgas.__path__)]

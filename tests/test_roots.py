@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgas.roots as roots
-from weylgas.roots import build_root_system, chamber_classify, reflect, resolve_weights
+from weylgas.roots import build_root_system, reflect, resolve_weights
 from weylgas.runner import run_verify
 
 ALL_SYSTEMS = [("A", n) for n in range(2, 6)] + \
@@ -165,40 +165,6 @@ def test_integer_reflections_build_no_fraction(monkeypatch):
                 assert out in full and all(type(v) is int for v in out)
     with pytest.raises(AssertionError, match="Fraction"):
         reflect((2, 1, 0), (1, 1, 1))
-
-
-def test_chamber_classify_regions():
-    R = build_root_system("A", 3)
-    assert chamber_classify([-1.0, 0.0, 1.0], R).region == "interior"
-    loc = chamber_classify([0.0, 0.0, 1.0], R)
-    assert loc.region == "boundary"
-    assert loc.order == 1
-    assert loc.active_roots == ((-1, 1, 0),)
-    assert chamber_classify([1.0, 0.0, -1.0], R).region == "outside"
-    # the fully collapsed point activates every root
-    assert chamber_classify([0.0, 0.0, 0.0], R).order == R.M
-
-
-def test_chamber_classify_tol():
-    R = build_root_system("B", 2)
-    loc = chamber_classify([1e-9, 1.0], R, tol=1e-8)
-    assert loc.region == "boundary"
-    assert (1, 0) in loc.active_roots
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(-50, 50), min_size=4, max_size=4))
-def test_chamber_partition_lattice(x):
-    """Every lattice point falls in exactly one region at tol 0."""
-    R = build_root_system("B", 4)
-    loc = chamber_classify(x, R, tol=0.0)
-    proj = R.positive_matrix @ np.asarray(x, float)
-    if loc.region == "interior":
-        assert np.all(proj > 0)
-    elif loc.region == "boundary":
-        assert np.all(proj >= 0) and np.sum(proj == 0) == loc.order
-    else:
-        assert np.any(proj < 0)
 
 
 def test_weighted_projections_and_weights():
